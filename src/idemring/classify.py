@@ -2,9 +2,10 @@
 
 Every idempotent determinant forces the trace into a small solved set, and
 each viable (det, trace) pair carries a parameterized matrix template with a
-divisibility side condition.  ``classify`` matches a verified idempotent
-against every template consistent with its det and trace, recovering the
-template parameters as explicit witnesses; ``generate`` inverts a template;
+divisibility side condition.  ``template_table`` lists those templates once
+per modulus.  ``classify`` matches a verified idempotent against the
+template its det and trace select, recovering the template parameters as
+explicit witnesses; ``generate`` inverts a template;
 ``bruteforce_constant_idempotents`` enumerates all constant idempotents; and
 ``completeness_check`` replays the classifier over that enumeration.
 
@@ -29,22 +30,23 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .errors import (
     BudgetExceeded,
     InternalTheoremViolation,
     ModulusMismatch,
     NotConstant,
-    NotIdempotentDet,
     PrimesOutOfScope,
     UnsatisfiableParams,
 )
 from .mat2 import Mat2Poly
 from .modarith import Modulus, crt_combine, mod_inverse
 from .polyring import Poly, coeffs_divisible, divide_coeffs
-from .quadcong import trace_candidates
 from .znring import enumerate_idempotents, pattern_of
 
 DET0_GENERAL = "det0-general"
@@ -64,9 +66,6 @@ FAMILIES = (
     DETSINGLE_SCALAR,
     DETSINGLE_SHIFT,
 )
-
-_PAIR_FAMILIES = (DETPAIR_SCALAR, DETPAIR_SHIFT, DETPAIR_MIXED)
-_SINGLE_FAMILIES = (DETSINGLE_SCALAR, DETSINGLE_SHIFT)
 
 DEFAULT_MATRIX_BUDGET = 125_000_000  # n**3 states, i.e. n <= 500
 
@@ -114,44 +113,82 @@ def require_classification_scope(mod: Modulus) -> None:
         raise PrimesOutOfScope(f"need three distinct primes, all > 3; got {mod}")
 
 
-def _det_roles(mod: Modulus, d: int) -> tuple[tuple[int, int, int], int]:
-    """Role order and pattern weight for a nontrivial idempotent d.
-
-    Weight 1 (d = (a*b)^(s-1)) yields (a, b, s); weight 2
-    (d = z^((a-1)(b-1))) yields (z, a, b).
-    """
-    pat = pattern_of(mod, d)
-    ones = [p for p, b in zip(mod.primes, pat) if b]
-    zeros = [p for p, b in zip(mod.primes, pat) if not b]
-    if len(ones) == 1:
-        return (zeros[0], zeros[1], ones[0]), 1
-    if len(ones) == 2:
-        return (zeros[0], ones[0], ones[1]), 2
-    raise UnsatisfiableParams(f"det {d} is a trivial idempotent")
-
-
-def _mixed_trace(a: int, b: int, s: int) -> int:
-    return crt_combine([(0, a), (1, b), (2, s)])
-
-
-def _mixed_offset(a: int, s: int) -> int:
-    return crt_combine([(0, a), (1, s)])
-
-
 def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
     return tuple(y for y in enumerate_idempotents(mod) if y not in (0, 1))
 
 
-def expected_trace_values(mod: Modulus, d: int) -> set[int]:
-    """Traces the templates can produce for a given nontrivial determinant."""
+# --- the template table ------------------------------------------------
+
+@dataclass(frozen=True)
+class Template:
+    """One valid label and the numbers its matrix formula uses.
+
+    Every family but det0-scaled reads [[u + stride*e, stride*f],
+    [stride*g, t - u - stride*e]] with u = offset (the scalars take
+    stride n, so nothing is free); det0-scaled is I * [[e, f], [g, 1-e]]
+    with entries that are multiples of stride = gcd(I, n).  The side
+    condition is read modulo side = n / stride.
+    """
+
+    label: ClassLabel
+    offset: int
+    stride: int
+    side: int
+
+
+def _det_roles(mod: Modulus, d: int) -> tuple[tuple[int, int, int], int]:
+    """Role order and pattern weight for a nontrivial idempotent d.
+
+    Weight 1 (d = (a*b)^(s-1)) yields (a, b, s); weight 2
+    (d = z^((a-1)(b-1))) yields (z, a, b): the det-0 primes come first.
+    """
+    pat = pattern_of(mod, d)
+    zeros = tuple(p for p, bit in zip(mod.primes, pat) if not bit)
+    ones = tuple(p for p, bit in zip(mod.primes, pat) if bit)
+    return zeros + ones, len(ones)
+
+
+@lru_cache
+def template_table(mod: Modulus) -> Mapping[tuple[int, int], Template]:
+    """Every valid template over mod keyed by (det, trace): 25 in all.
+
+    This is the one place the family formulas are written down; labels,
+    validation, classification and generation all read from it.
+    """
+    require_classification_scope(mod)
     n = mod.n
-    roles, weight = _det_roles(mod, d)
-    traces = {2 * d % n, (d + 1) % n}
-    if weight == 1:
-        a, b, s = roles
-        traces.add(_mixed_trace(a, b, s))
-        traces.add(_mixed_trace(b, a, s))
-    return traces
+    table: dict[tuple[int, int], Template] = {}
+
+    def add(family, roles, det, trace, offset, stride, **extra):
+        label = ClassLabel(n, family, roles, det=det, trace=trace % n, **extra)
+        table[det, trace % n] = Template(label, offset, stride, n // stride)
+
+    add(DET0_GENERAL, mod.primes, 0, 1, 0, 1)
+    for d in nontrivial_idempotents(mod):
+        roles, weight = _det_roles(mod, d)
+        c = gcd(d, n)
+        add(DET0_SCALED, roles, 0, d, 0, c, scale=d, annihilator=n // c)
+        if weight == 1:
+            z0, z1, s = roles
+            add(DETPAIR_SCALAR, roles, d, 2 * d, d, n)
+            add(DETPAIR_SHIFT, roles, d, d + 1, 1, s)
+            for a, b in ((z0, z1), (z1, z0)):
+                u = crt_combine([(0, a), (1, s)])
+                trace = crt_combine([(0, a), (1, b), (2, s)])
+                add(DETPAIR_MIXED, (a, b, s), d, trace, u, a * s, mixed_offset=u)
+        else:
+            z, a, b = roles
+            add(DETSINGLE_SCALAR, roles, d, 2 * d, d, n)
+            add(DETSINGLE_SHIFT, roles, d, d + 1, 1, a * b)
+    if len(table) != 25 or any((t * t - t - 2 * d) % n for d, t in table):
+        raise InternalTheoremViolation(f"template table over {n} is not 25 solutions of t^2 = t + 2d")
+    return MappingProxyType(table)
+
+
+def expected_trace_values(mod: Modulus, d: int) -> set[int]:
+    """Traces the templates produce for determinant d; empty when no template has det d."""
+    d %= mod.n
+    return {t for det, t in template_table(mod) if det == d}
 
 
 def make_label(
@@ -162,235 +199,135 @@ def make_label(
     scale: int | None = None,
     swap_mixed_roles: bool = False,
 ) -> ClassLabel:
-    """Build a consistent ClassLabel for a family over mod.
+    """Look up the ClassLabel of a family over mod.
 
     det defaults to the pair power with pattern (0,0,1) for the det-pair
     families and to the prime power with pattern (0,1,1) for the det-single
     families; scale defaults to the (0,0,1) idempotent for det0-scaled.
     """
-    require_classification_scope(mod)
-    n = mod.n
-    p1, p2, p3 = mod.primes
-    if family == DET0_GENERAL:
-        return ClassLabel(n, family, mod.primes, det=0, trace=1)
-    if family == DET0_SCALED:
-        if scale is None:
-            scale = crt_combine([(0, p1), (0, p2), (1, p3)])
-        scale %= n
-        if (scale * scale - scale) % n or scale in (0, 1):
-            raise UnsatisfiableParams(f"scale {scale} is not a nontrivial idempotent mod {n}")
-        roles, _ = _det_roles(mod, scale)
-        annihilator = n // gcd(scale, n)
-        return ClassLabel(n, family, roles, det=0, trace=scale, scale=scale, annihilator=annihilator)
-    if family not in _PAIR_FAMILIES and family not in _SINGLE_FAMILIES:
+    table = template_table(mod)
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if det is None:
-        if family in _PAIR_FAMILIES:
-            det = crt_combine([(0, p1), (0, p2), (1, p3)])
-        else:
-            det = crt_combine([(0, p1), (1, p2), (1, p3)])
-    d = det % n
-    roles, weight = _det_roles(mod, d)
-    if family in _PAIR_FAMILIES and weight != 1:
-        raise UnsatisfiableParams(f"det {d} does not have a pair-power pattern")
-    if family in _SINGLE_FAMILIES and weight != 2:
-        raise UnsatisfiableParams(f"det {d} does not have a prime-power pattern")
-    if family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
-        return ClassLabel(n, family, roles, det=d, trace=2 * d % n)
-    if family in (DETPAIR_SHIFT, DETSINGLE_SHIFT):
-        return ClassLabel(n, family, roles, det=d, trace=(d + 1) % n)
-    a, b, s = roles
-    if swap_mixed_roles:
-        a, b = b, a
-    return ClassLabel(
-        n,
-        DETPAIR_MIXED,
-        (a, b, s),
-        det=d,
-        trace=_mixed_trace(a, b, s),
-        mixed_offset=_mixed_offset(a, s),
-    )
-
-
-def validate_label(mod: Modulus, label: ClassLabel) -> None:
-    """Check every label invariant; raises UnsatisfiableParams on violation."""
-    require_classification_scope(mod)
     n = mod.n
-    if label.modulus != n:
-        raise UnsatisfiableParams(f"label modulus {label.modulus} != {n}")
-    if label.family not in FAMILIES:
-        raise UnsatisfiableParams(f"unknown family {label.family!r}")
-    if sorted(label.prime_roles) != list(mod.primes):
-        raise UnsatisfiableParams(f"roles {label.prime_roles} must permute {mod.primes}")
-    d, t = label.det % n, label.trace % n
-    if (d * d - d) % n:
-        raise UnsatisfiableParams(f"det {d} is not idempotent mod {n}")
-    if t not in trace_candidates(mod, d).solutions:
-        raise UnsatisfiableParams(f"trace {t} does not solve t^2 = t + 2*{d} (mod {n})")
-    fam = label.family
-    if fam == DET0_GENERAL:
-        ok = d == 0 and t == 1 and label.scale is None and label.mixed_offset is None
-        if not ok:
-            raise UnsatisfiableParams("det0-general requires det 0, trace 1, no extras")
-        return
-    if fam == DET0_SCALED:
-        if d != 0 or label.scale is None or t != label.scale % n:
-            raise UnsatisfiableParams("det0-scaled requires det 0 and trace equal to the scale")
-        scale = label.scale % n
-        if (scale * scale - scale) % n or scale in (0, 1):
-            raise UnsatisfiableParams(f"scale {scale} is not a nontrivial idempotent")
-        if label.annihilator != n // gcd(scale, n):
-            raise UnsatisfiableParams(
-                f"annihilator must be {n // gcd(scale, n)} for scale {scale}, got {label.annihilator}"
-            )
-        if label.prime_roles != _det_roles(mod, scale)[0]:
-            raise UnsatisfiableParams("roles inconsistent with the scale's pattern")
-        return
-    roles, weight = _det_roles(mod, d)
-    if fam in _PAIR_FAMILIES and weight != 1:
-        raise UnsatisfiableParams(f"det {d} does not have a pair-power pattern")
-    if fam in _SINGLE_FAMILIES and weight != 2:
-        raise UnsatisfiableParams(f"det {d} does not have a prime-power pattern")
-    if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR, DETPAIR_SHIFT, DETSINGLE_SHIFT):
-        if label.prime_roles != roles:
-            raise UnsatisfiableParams(f"roles must be {roles} for det {d}")
-        want = 2 * d % n if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR) else (d + 1) % n
-        if t != want:
-            raise UnsatisfiableParams(f"trace must be {want} for {fam} with det {d}")
-        return
-    # detpair-mixed
-    a, b, s = label.prime_roles
-    if s != roles[2] or {a, b} != {roles[0], roles[1]}:
-        raise UnsatisfiableParams(f"mixed roles must place the det-1 prime last, zeros first")
-    if t != _mixed_trace(a, b, s):
-        raise UnsatisfiableParams(f"trace {t} inconsistent with mixed roles {(a, b, s)}")
-    if label.mixed_offset != _mixed_offset(a, s):
-        raise UnsatisfiableParams(
-            f"mixed offset must be {_mixed_offset(a, s)}, got {label.mixed_offset}"
-        )
+    single = family in (DETSINGLE_SCALAR, DETSINGLE_SHIFT)
+    default = crt_combine(list(zip((0, 1, 1) if single else (0, 0, 1), mod.primes)))
+    trace = None
+    if family == DET0_SCALED:
+        det, trace = 0, (default if scale is None else scale) % n
+    elif family == DET0_GENERAL:
+        det = 0
+    else:
+        det = (default if det is None else det) % n
+    labels = [
+        tpl.label
+        for (d, t), tpl in table.items()
+        if tpl.label.family == family and d == det and (trace is None or t == trace)
+    ]
+    if not labels:
+        pinned = f"scale {trace}" if family == DET0_SCALED else f"det {det}"
+        raise UnsatisfiableParams(f"no {family} template with {pinned} mod {n}")
+    return labels[-1] if swap_mixed_roles else labels[0]
 
 
-# --- template matchers -------------------------------------------------
+def validate_label(mod: Modulus, label: ClassLabel) -> Template:
+    """The template of label; raises UnsatisfiableParams unless label is
+    exactly one of mod's templates."""
+    d, t = label.det, label.trace
+    tpl = template_table(mod).get((d, t))
+    if tpl is None:
+        raise UnsatisfiableParams(f"no template has det {d} and trace {t} mod {mod.n}")
+    if tpl.label != label:
+        raise UnsatisfiableParams(f"det {d} and trace {t} pin the label to {tpl.label}")
+    return tpl
 
-def _match_det0_general(G, mod, d, t):
-    if d != 0 or t != 1:
-        return None
-    n = mod.n
+
+# --- witness recovery --------------------------------------------------
+# Each matcher takes a matrix whose (det, trace) selected its template and
+# returns the template parameters, or None when a structural check fails.
+
+def _match_det0_general(G, tpl):
     e, f, g = G.e, G.f, G.g
     if G.h != 1 - e:
         return None
     if not (e * (1 - e) - g * f).is_zero():
         return None
-    label = ClassLabel(n, DET0_GENERAL, mod.primes, det=0, trace=1)
-    return label, {"e": e, "f": f, "g": g}
+    return {"e": e, "f": f, "g": g}
 
 
-def _match_det0_scaled(G, mod, d, t):
-    if d != 0 or t in (0, 1):
+def _match_det0_scaled(G, tpl):
+    scale, annihilator = tpl.label.scale, tpl.side
+    if any(not coeffs_divisible(entry, tpl.stride) for entry in G.entries()):
         return None
-    n = mod.n
-    if (t * t - t) % n:
-        return None
-    scale = t
-    c = gcd(scale, n)
-    annihilator = n // c
-    if any(not coeffs_divisible(entry, c) for entry in G.entries()):
-        return None
-    # entries are multiples of c, so scale * entry == entry and the entries
-    # themselves serve as the template parameters
+    # entries are multiples of gcd(scale, n), so scale * entry == entry and
+    # the entries themselves serve as the template parameters
     e, f, g = G.e, G.f, G.g
     if scale * e != G.e or scale * f != G.f or scale * g != G.g or scale * (1 - e) != G.h:
         return None
     side = e * (1 - e) - g * f
     if not coeffs_divisible(side, annihilator):
         return None
-    k = divide_coeffs(side, annihilator)
-    roles, _ = _det_roles(mod, scale)
-    label = ClassLabel(n, DET0_SCALED, roles, det=0, trace=scale, scale=scale, annihilator=annihilator)
-    return label, {"e": e, "f": f, "g": g, "k": k}
+    return {"e": e, "f": f, "g": g, "k": divide_coeffs(side, annihilator)}
 
 
-def _match_scalar(G, mod, d, t):
-    n = mod.n
-    if t != 2 * d % n:
-        return None
-    if G != Mat2Poly.from_ints(n, d, 0, 0, d):
-        return None
-    roles, weight = _det_roles(mod, d)
-    family = DETPAIR_SCALAR if weight == 1 else DETSINGLE_SCALAR
-    return ClassLabel(n, family, roles, det=d, trace=t), {}
+def _match_scalar(G, tpl):
+    d = tpl.label.det
+    return {} if G == Mat2Poly.from_ints(G.n, d, 0, 0, d) else None
 
 
-def _match_shift(G, mod, d, t):
-    n = mod.n
-    if t != (d + 1) % n:
+def _strided_params(G, tpl):
+    """(e, f, g) with G = [[u + stride*e, stride*f], [stride*g, t - u - stride*e]], or None."""
+    e_off = G.e - tpl.offset
+    if not all(coeffs_divisible(p, tpl.stride) for p in (e_off, G.f, G.g)):
         return None
-    roles, weight = _det_roles(mod, d)
-    if weight == 1:
-        stride, side_div, family = roles[2], roles[0] * roles[1], DETPAIR_SHIFT
-    else:
-        stride, side_div, family = roles[1] * roles[2], roles[0], DETSINGLE_SHIFT
-    e_off = G.e - 1
-    if not (
-        coeffs_divisible(e_off, stride)
-        and coeffs_divisible(G.f, stride)
-        and coeffs_divisible(G.g, stride)
-    ):
+    if G.h != tpl.label.trace - G.e:
         return None
-    e = divide_coeffs(e_off, stride)
-    f = divide_coeffs(G.f, stride)
-    g = divide_coeffs(G.g, stride)
-    if G.h != d - stride * e:
-        return None
-    side = e * (1 + stride * e) + stride * (g * f)
-    if not coeffs_divisible(side, side_div):
-        return None
-    k = divide_coeffs(side, side_div)
-    label = ClassLabel(n, family, roles, det=d, trace=t)
-    return label, {"e": e, "f": f, "g": g, "k": k}
+    return [divide_coeffs(p, tpl.stride) for p in (e_off, G.f, G.g)]
 
 
-def _match_mixed(G, mod, d, t):
-    n = mod.n
-    roles, weight = _det_roles(mod, d)
-    if weight != 1:
+def _match_shift(G, tpl):
+    params = _strided_params(G, tpl)
+    if params is None:
         return None
-    z0, z1, s = roles
-    if t % s != 2 % s:
+    e, f, g = params
+    side = e * (1 + tpl.stride * e) + tpl.stride * (g * f)
+    if not coeffs_divisible(side, tpl.side):
         return None
-    r0, r1 = t % z0, t % z1
-    if sorted((r0, r1)) != [0, 1]:
+    return {"e": e, "f": f, "g": g, "k": divide_coeffs(side, tpl.side)}
+
+
+def _match_mixed(G, tpl):
+    params = _strided_params(G, tpl)
+    if params is None:
         return None
-    a, b = (z0, z1) if r0 == 0 else (z1, z0)
-    sigma = a * s
-    u = _mixed_offset(a, s)
-    if not (coeffs_divisible(G.f, sigma) and coeffs_divisible(G.g, sigma)):
-        return None
-    e_off = G.e - u
-    if not coeffs_divisible(e_off, sigma):
-        return None
-    e = divide_coeffs(e_off, sigma)
-    f = divide_coeffs(G.f, sigma)
-    g = divide_coeffs(G.g, sigma)
-    if G.h != t - G.e:
-        return None
+    e, f, g = params
+    u, sigma, t = tpl.offset, tpl.stride, tpl.label.trace
     diag = u + sigma * e
-    if diag * (t - diag) - sigma * sigma * (f * g) != Poly.constant(n, d):
+    if diag * (t - diag) - sigma * sigma * (f * g) != Poly.constant(G.n, tpl.label.det):
         return None
-    label = ClassLabel(n, DETPAIR_MIXED, (a, b, s), det=d, trace=t, mixed_offset=u)
-    return label, {"e": e, "f": f, "g": g, "u": u, "diag_constant": G.e.coeff(0)}
+    return {"e": e, "f": f, "g": g, "u": u, "diag_constant": G.e.coeff(0)}
+
+
+_MATCHERS = {
+    DET0_GENERAL: _match_det0_general,
+    DET0_SCALED: _match_det0_scaled,
+    DETPAIR_SCALAR: _match_scalar,
+    DETSINGLE_SCALAR: _match_scalar,
+    DETPAIR_SHIFT: _match_shift,
+    DETSINGLE_SHIFT: _match_shift,
+    DETPAIR_MIXED: _match_mixed,
+}
 
 
 def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
-    """Match an idempotent matrix against all templates fitting its det/trace.
+    """Match an idempotent matrix against the template its det/trace select.
 
     Non-idempotent input yields a report with idempotent=False; the zero
     and identity matrices (and any det-1 case, which forces the identity)
-    are flagged trivial.  All matching templates are collected, each with
-    its recovered witness parameters; an empty match list on a non-trivial
-    idempotent is reported via notes rather than raised.
+    are flagged trivial.  A match carries its recovered witness
+    parameters; an empty match list on a non-trivial idempotent is
+    reported via notes rather than raised.
     """
-    require_classification_scope(mod)
+    table = template_table(mod)
     if G.n != mod.n:
         raise ModulusMismatch(f"matrix over {G.n}, modulus {mod.n}")
     if not G.is_idempotent():
@@ -410,28 +347,14 @@ def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
         trivial = True
     if trivial:
         return ClassificationReport(True, True, d, t, [], [], notes)
-    try:
-        weight = sum(pattern_of(mod, d))
-    except NotIdempotentDet as exc:
-        raise InternalTheoremViolation(
-            f"idempotent matrix has non-idempotent det {d} (mod {n})"
-        ) from exc
-    if weight == 0:
-        matchers = (_match_det0_general, _match_det0_scaled)
-    elif weight == 1:
-        matchers = (_match_scalar, _match_shift, _match_mixed)
-    else:
-        matchers = (_match_scalar, _match_shift)
-    matches: list[ClassLabel] = []
-    witnesses: list[dict] = []
-    for matcher in matchers:
-        hit = matcher(G, mod, d, t)
-        if hit is not None:
-            matches.append(hit[0])
-            witnesses.append(hit[1])
-    if not matches:
+    if (d * d - d) % n:
+        raise InternalTheoremViolation(f"idempotent matrix has non-idempotent det {d} (mod {n})")
+    tpl = table.get((d, t))
+    witness = None if tpl is None else _MATCHERS[tpl.label.family](G, tpl)
+    if witness is None:
         notes.append("no template matched a non-trivial idempotent (unexpected)")
-    return ClassificationReport(True, False, d, t, matches, witnesses, notes)
+        return ClassificationReport(True, False, d, t, [], [], notes)
+    return ClassificationReport(True, False, d, t, [tpl.label], [witness], notes)
 
 
 # --- generation --------------------------------------------------------
@@ -464,6 +387,35 @@ def _solved_f(target: Poly, gpoly: Poly, factor: int, w: int, n: int) -> Poly:
     return Poly(n, ((inv * c) % w for c in target.coeffs))
 
 
+def _scaled_matrix(tpl, e, f, g, m):
+    """I * [[e, f], [g, 1-e]] with e(1-e) - g*f divisible by the annihilator."""
+    n, annihilator = tpl.label.modulus, tpl.side
+    if f is None:
+        f = _solved_f(e * (1 - e) - annihilator * m, g, 1, n, n)
+    elif not coeffs_divisible(e * (1 - e) - g * f, annihilator):
+        raise UnsatisfiableParams(f"e(1-e) - g*f must be divisible by the annihilator {annihilator}")
+    scale = tpl.label.scale
+    return Mat2Poly(scale * e, scale * f, scale * g, scale * (1 - e))
+
+
+def _strided_matrix(tpl, e, f, g):
+    """[[u + stride*e, stride*f], [stride*g, t - u - stride*e]] with det d.
+
+    The det condition leaves a residual divisible by the stride; f solves
+    stride * g * f = residual / stride modulo the side divisor.
+    """
+    n, d, t, sigma = tpl.label.modulus, tpl.label.det, tpl.label.trace, tpl.stride
+    diag = tpl.offset + sigma * e
+    residual = diag * (t - diag) - d
+    if not coeffs_divisible(residual, sigma):
+        raise InternalTheoremViolation("template residual not divisible by the stride")
+    if f is None:
+        f = _solved_f(divide_coeffs(residual, sigma), g, sigma, tpl.side, n)
+    elif sigma * sigma * (f * g) != residual:
+        raise UnsatisfiableParams("parameters violate the determinant side condition")
+    return Mat2Poly(diag, sigma * f, sigma * g, t - diag)
+
+
 def generate(
     mod: Modulus,
     label: ClassLabel,
@@ -484,74 +436,24 @@ def generate(
     cannot be repaired raise UnsatisfiableParams.  The result is verified
     idempotent before being returned.
     """
-    validate_label(mod, label)
+    tpl = validate_label(mod, label)
+    if max_degree < 0:
+        raise UnsatisfiableParams(f"max_degree must be non-negative, got {max_degree}")
     n = mod.n
     if rng is None:
         rng = random.Random(seed)
-    fam = label.family
-    if fam == DET0_GENERAL:
-        if e is None:
-            e = _random_poly(rng, n, max_degree)
-        if g is None:
-            g = Poly.constant(n, 1)
-        if f is None:
-            f = _solved_f(e * (1 - e), g, 1, n, n)
-        elif not (e * (1 - e) - g * f).is_zero():
-            raise UnsatisfiableParams("parameters violate e(1-e) = g*f")
-        G = Mat2Poly(e, f, g, 1 - e)
-    elif fam == DET0_SCALED:
-        scale, annihilator = label.scale, label.annihilator
-        if e is None:
-            e = _random_poly(rng, n, max_degree)
-        if g is None:
-            g = Poly.constant(n, 1)
-        if f is None:
-            if m is None:
-                m = _random_poly(rng, n, max_degree)
-            f = _solved_f(e * (1 - e) - annihilator * m, g, 1, n, n)
-        elif not coeffs_divisible(e * (1 - e) - g * f, annihilator):
-            raise UnsatisfiableParams(
-                f"e(1-e) - g*f must be divisible by the annihilator {annihilator}"
-            )
-        G = Mat2Poly(scale * e, scale * f, scale * g, scale * (1 - e))
-    elif fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
-        d = label.det
+    fam, d = label.family, label.det
+    if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         G = Mat2Poly.from_ints(n, d, 0, 0, d)
-    elif fam in (DETPAIR_SHIFT, DETSINGLE_SHIFT):
-        roles = label.prime_roles
-        if fam == DETPAIR_SHIFT:
-            stride, side_div = roles[2], roles[0] * roles[1]
+    else:
+        e = _random_poly(rng, n, max_degree) if e is None else e
+        g = Poly.constant(n, 1) if g is None else g
+        if fam == DET0_SCALED:
+            if f is None and m is None:
+                m = _random_poly(rng, n, max_degree)
+            G = _scaled_matrix(tpl, e, f, g, m)
         else:
-            stride, side_div = roles[1] * roles[2], roles[0]
-        if e is None:
-            e = _random_poly(rng, n, max_degree)
-        if g is None:
-            g = Poly.constant(n, 1)
-        if f is None:
-            f = _solved_f(-(e * (1 + stride * e)), g, stride, side_div, n)
-        elif not coeffs_divisible(e * (1 + stride * e) + stride * (g * f), side_div):
-            raise UnsatisfiableParams(
-                f"e(1+{stride}e) + {stride}*g*f must be divisible by {side_div}"
-            )
-        G = Mat2Poly(1 + stride * e, stride * f, stride * g, label.det - stride * e)
-    else:  # detpair-mixed
-        a, b, s = label.prime_roles
-        sigma = a * s
-        u, t, d = label.mixed_offset, label.trace, label.det
-        if e is None:
-            e = _random_poly(rng, n, max_degree)
-        if g is None:
-            g = Poly.constant(n, 1)
-        diag = u + sigma * e
-        residual = diag * (t - diag) - d
-        if not coeffs_divisible(residual, sigma):
-            raise InternalTheoremViolation("mixed-template residual not divisible by the stride")
-        reduced = divide_coeffs(residual, sigma)
-        if f is None:
-            f = _solved_f(reduced, g, sigma, b, n)
-        elif sigma * sigma * (f * g) != residual:
-            raise UnsatisfiableParams("parameters violate the determinant side condition")
-        G = Mat2Poly(diag, sigma * f, sigma * g, t - diag)
+            G = _strided_matrix(tpl, e, f, g)
     if not G.is_idempotent():
         raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
     return G
@@ -645,7 +547,6 @@ class CompletenessReport:
                 {"det": d, "trace": t, **info}
                 for (d, t), info in sorted(self.mixed_offsets.items())
             ],
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
     def to_text(self) -> str:
@@ -666,7 +567,6 @@ class CompletenessReport:
                 f"mixed det {d} trace {t}: offset(s) {info['offsets']} mod {info['offset_modulus']}, "
                 f"{info['distinct_diagonals']} distinct diagonal constants mod {self.modulus}"
             )
-        lines.append(f"elapsed: {self.elapsed_seconds:.1f} s")
         return "\n".join(lines)
 
 
@@ -674,10 +574,10 @@ def completeness_check(mod: Modulus, budget: int = DEFAULT_MATRIX_BUDGET) -> Com
     """Classify every constant idempotent matrix and tally the outcome.
 
     The expectation, checked by the acceptance suite, is that every
-    non-trivial constant idempotent matches at least one template and the
-    det histogram is supported on the 2^3 idempotents of Z_n.
+    non-trivial constant idempotent matches its template and the det
+    histogram is supported on the 2^3 idempotents of Z_n.
     """
-    require_classification_scope(mod)
+    table = template_table(mod)
     n = mod.n
     if n**3 > budget:
         raise BudgetExceeded(f"{n}^3 states exceed budget {budget}")
@@ -687,7 +587,7 @@ def completeness_check(mod: Modulus, budget: int = DEFAULT_MATRIX_BUDGET) -> Com
     dt_hist: Counter = Counter()
     multiplicity: Counter = Counter()
     unmatched: list[tuple[int, int, int, int]] = []
-    mixed_u: dict[tuple[int, int], list[set]] = defaultdict(lambda: [set(), set()])
+    mixed_diagonals: dict[tuple[int, int], set] = defaultdict(set)
     total = 0
     trivial = 0
     for entry in iter_constant_idempotent_entries(mod):
@@ -707,17 +607,15 @@ def completeness_check(mod: Modulus, budget: int = DEFAULT_MATRIX_BUDGET) -> Com
         for label, wit in zip(rep.matches, rep.witnesses):
             family_counts[label.family] += 1
             if label.family == DETPAIR_MIXED:
-                rec = mixed_u[(rep.det, rep.trace)]
-                rec[0].add((wit["u"], label.prime_roles[0] * label.prime_roles[2]))
-                rec[1].add(wit["diag_constant"])
-    mixed_offsets = {}
-    for key, (offsets, diags) in mixed_u.items():
-        moduli = {sig for _, sig in offsets}
-        mixed_offsets[key] = {
-            "offsets": sorted(u for u, _ in offsets),
-            "offset_modulus": moduli.pop() if len(moduli) == 1 else sorted(moduli),
+                mixed_diagonals[rep.det, rep.trace].add(wit["diag_constant"])
+    mixed_offsets = {
+        key: {
+            "offsets": [table[key].offset],
+            "offset_modulus": table[key].stride,
             "distinct_diagonals": len(diags),
         }
+        for key, diags in mixed_diagonals.items()
+    }
     return CompletenessReport(
         modulus=n,
         primes=mod.primes,

@@ -37,7 +37,7 @@ from .errors import (
 from .mat2 import load_matrix, matrix_from_document, matrix_to_document, save_matrix
 from .modarith import Modulus, crt_combine, factor_squarefree
 from .polyring import Poly, parse_poly
-from .quadcong import closed_form_trace_solutions, trace_candidates
+from .quadcong import closed_form_trace_solutions, formula_discrepancy_survey, trace_candidates
 from .znring import (
     DEFAULT_POLY_BUDGET,
     enumerate_idempotents,
@@ -59,18 +59,28 @@ def _witness_json(wit: dict) -> dict:
 
 
 def _label_json(label) -> dict:
-    out = {
-        "family": label.family,
-        "prime_roles": list(label.prime_roles),
-        "det": label.det,
-        "trace": label.trace,
+    return {k: v for k, v in vars(label).items() if k != "modulus" and v is not None}
+
+
+def _json_file(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def report_files(mod: Modulus, completeness) -> dict[str, str]:
+    """Archived report file name -> content for mod.
+
+    The closed-form trace survey is always included; completeness, a
+    CompletenessReport for mod or None, adds its text and JSON tallies.
+    """
+    surveys = formula_discrepancy_survey(mod)
+    files = {
+        f"trace-formulas-{mod.n}.txt": "\n\n".join(r.to_text() for r in surveys) + "\n",
+        f"trace-formulas-{mod.n}.json": _json_file([r.to_dict() for r in surveys]),
     }
-    if label.scale is not None:
-        out["scale"] = label.scale
-        out["annihilator"] = label.annihilator
-    if label.mixed_offset is not None:
-        out["mixed_offset"] = label.mixed_offset
-    return out
+    if completeness is not None:
+        files[f"completeness-{mod.n}.txt"] = completeness.to_text() + "\n"
+        files[f"completeness-{mod.n}.json"] = _json_file(completeness.to_dict())
+    return files
 
 
 def _cmd_idempotents(args) -> int:

@@ -13,6 +13,10 @@ class IdemringError(Exception):
         return type(self).__name__
 
 
+class ModulusTooSmall(IdemringError):
+    """A modulus below 2 was requested."""
+
+
 class NotSquarefree(IdemringError):
     """A prime divides the modulus more than once."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import Iterable
 
-from .errors import ModuliNotCoprime, NotCoprime, NotFactorable, NotSquarefree
+from .errors import ModuliNotCoprime, ModulusTooSmall, NotCoprime, NotFactorable, NotSquarefree
 
 DEFAULT_TRIAL_BOUND = 10**6
 
@@ -60,12 +60,12 @@ class Modulus:
 def factor_squarefree(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> Modulus:
     """Factor n by trial division, insisting every prime appears exactly once.
 
-    Raises NotSquarefree on a repeated prime factor and NotFactorable when a
-    cofactor larger than bound**2 survives trial division up to bound (such a
-    cofactor cannot be certified prime).
+    Raises ModulusTooSmall for n < 2, NotSquarefree on a repeated prime
+    factor and NotFactorable when a cofactor larger than bound**2 survives
+    trial division up to bound (such a cofactor cannot be certified prime).
     """
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise ModulusTooSmall(f"n must be at least 2, got {n}")
     if bound < 2:
         raise ValueError("bound must be at least 2")
     primes = []

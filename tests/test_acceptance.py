@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Heavy enumerations are shared through session fixtures; the closed-form
-and completeness reports are archived under reports/ at the repo root.
+and completeness reports must equal, byte for byte, the archived copies
+under reports/ at the repo root (scripts/write_reports.py rewrites them).
 """
 
-import json
 import random
 import time
 from itertools import product
@@ -27,7 +27,7 @@ from idemring.classify import (
     make_label,
     nontrivial_idempotents,
 )
-from idemring.cli import main as cli_main
+from idemring.cli import main as cli_main, report_files
 from idemring.errors import NotSquarefree
 from idemring.modarith import Modulus, crt_combine, factor_squarefree
 from idemring.quadcong import formula_discrepancy_survey, prime_quadratic_roots, trace_candidates
@@ -123,8 +123,12 @@ def test_criterion_4_poly_bruteforce_105(mod105):
     _passed(4, f"degree <= 2 scan over 105^3 states in {elapsed:.2f} s, 8 constants")
 
 
+def _check_archived(files):
+    for name, text in files.items():
+        assert (REPORTS_DIR / name).read_text() == text, name
+
+
 def test_criterion_5_trace_solver_and_report_archive(mod105, mod385, mod455):
-    REPORTS_DIR.mkdir(exist_ok=True)
     for mod in (mod105, mod385, mod455):
         n = mod.n
         for d in enumerate_idempotents(mod):
@@ -140,11 +144,8 @@ def test_criterion_5_trace_solver_and_report_archive(mod105, mod385, mod455):
                 print(f"LOG n={n} det={d}: {root_product} solutions (double root at 3)")
         reports = formula_discrepancy_survey(mod)
         assert all(not r.discrepancies for r in reports)
-        text = "\n\n".join(r.to_text() for r in reports) + "\n"
-        (REPORTS_DIR / f"trace-formulas-{n}.txt").write_text(text)
-        payload = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
-        (REPORTS_DIR / f"trace-formulas-{n}.json").write_text(payload + "\n")
-    _passed(5, "solver equals scan for 105/385/455; formula reports archived")
+        _check_archived(report_files(mod, None))
+    _passed(5, "solver equals scan for 105/385/455; formula reports match the archive")
 
 
 def test_criterion_6_impossible_traces_385(completeness385, mod385):
@@ -174,12 +175,9 @@ def _check_completeness(rep, mod):
 
 
 def test_criterion_7_completeness_385_455(completeness385, completeness455, mod385, mod455):
-    REPORTS_DIR.mkdir(exist_ok=True)
     for rep, mod in ((completeness385, mod385), (completeness455, mod455)):
         _check_completeness(rep, mod)
-        (REPORTS_DIR / f"completeness-{mod.n}.txt").write_text(rep.to_text() + "\n")
-        payload = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
-        (REPORTS_DIR / f"completeness-{mod.n}.json").write_text(payload + "\n")
+        _check_archived(report_files(mod, rep))
     assert completeness385.total == 248704
     assert completeness455.total == 341504
     _passed(

@@ -169,3 +169,27 @@ def test_verify_json(capsys):
     rc, out, _ = run(capsys, "verify", "105", "--budget", "2000000", "--json")
     doc = json.loads(out)
     assert doc["passed"] == doc["total"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["idempotents", "1"],
+        ["idempotents", "0"],
+        ["idempotents", "-7"],
+        ["solve-trace", "0", "0"],
+        ["oracle", "-3"],
+        ["verify", "1"],
+        ["generate", "det0-general", "--n", "-385"],
+    ],
+)
+def test_modulus_below_two_is_coded_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ModulusTooSmall:")
+
+
+def test_negative_degree_is_coded_error(capsys):
+    rc, out, err = run(capsys, "generate", "det0-general", "--n", "385", "--degree", "-5")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: UnsatisfiableParams:")

@@ -1,0 +1,150 @@
+"""Behaviour pinned across refactors of the template code.
+
+The label set and the validate_label verdicts are derived from make_label
+alone; the CLI digests were recorded before the template table existed
+and must not move: classify text and --json output (witnesses included)
+and the generator's seeded draws are all part of the stable interface.
+The last test pins that validate_label accepts exactly the table's
+labels, so a label carrying a field its family does not use is rejected.
+"""
+
+import hashlib
+import io
+import sys
+from contextlib import redirect_stdout
+from dataclasses import replace
+from itertools import permutations
+
+import pytest
+
+from idemring.classify import (
+    DET0_GENERAL,
+    DET0_SCALED,
+    DETPAIR_MIXED,
+    FAMILIES,
+    make_label,
+    nontrivial_idempotents,
+    template_table,
+    validate_label,
+)
+from idemring.cli import main
+from idemring.errors import UnsatisfiableParams
+from idemring.modarith import factor_squarefree
+
+FIELDS = ("family", "det", "trace", "prime_roles", "scale", "annihilator", "mixed_offset")
+
+
+def all_labels(mod):
+    """Every label make_label can build over mod: 25 for three primes > 3."""
+    labels = {make_label(mod, DET0_GENERAL)}
+    for d in nontrivial_idempotents(mod):
+        labels.add(make_label(mod, DET0_SCALED, scale=d))
+        for family in FAMILIES[2:]:
+            for swap in (False, True):
+                try:
+                    labels.add(make_label(mod, family, det=d, swap_mixed_roles=swap))
+                except UnsatisfiableParams:
+                    pass
+    return labels
+
+
+def mutants(mod, labels, label, fields):
+    """label with one field replaced by every other value that field takes
+    across labels, or by a value no label uses."""
+    junk = {"family": "bogus", "prime_roles": tuple(reversed(mod.primes))}
+    for name in fields:
+        values = {getattr(l, name) for l in labels} | {junk.get(name, 2)}
+        if name == "prime_roles":
+            values |= set(permutations(mod.primes))
+        if name in ("scale", "annihilator", "mixed_offset"):
+            values.add(None)
+        for value in values - {getattr(label, name)}:
+            yield replace(label, **{name: value})
+
+
+def verdict(mod, label):
+    try:
+        validate_label(mod, label)
+    except UnsatisfiableParams:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [385, 455])
+def test_validate_label_accepts_exactly_the_templates(n):
+    mod = factor_squarefree(n)
+    labels = all_labels(mod)
+    assert len(labels) == 25
+    assert len({(l.det, l.trace) for l in labels}) == 25
+    checked = 0
+    for label in labels:
+        assert verdict(mod, label)
+        # the fields each family constrains; roles of det0-general are fixed
+        fields = ["family", "det", "trace"]
+        if label.family != DET0_GENERAL:
+            fields.append("prime_roles")
+        if label.family == DET0_SCALED:
+            fields += ["scale", "annihilator"]
+        if label.family == DETPAIR_MIXED:
+            fields.append("mixed_offset")
+        for mutant in mutants(mod, labels, label, fields):
+            assert verdict(mod, mutant) == (mutant in labels), mutant
+            checked += 1
+    assert checked > 1000
+
+
+# sha256 prefixes of `generate <family> --n N --seed 0 --degree 3` stdout,
+# then `classify - --json` and `classify -` stdout on that document
+DIGESTS = {
+    ("det0-general", 385): ("8566d59af8a491dd", "a1bf35e9b269bca5", "a24354178ec2a37c"),
+    ("det0-scaled", 385): ("52fc31bbebc4adbe", "9b8fd99b76dcf5d0", "a3eeeeff0562bd4c"),
+    ("detpair-scalar", 385): ("91fe7b50b39d50ac", "3bfc14116d4c5f0c", "9e33cda9ba82a27f"),
+    ("detpair-shift", 385): ("eaa0f0f34340ffe6", "e378069a79538534", "b89b406477bad3d0"),
+    ("detpair-mixed", 385): ("7f5bb3d8d960073b", "5f704f4219434444", "1340be8b28b8efdb"),
+    ("detsingle-scalar", 385): ("98fe9828e236545f", "b77a46fb3795c295", "dfb3733e16134617"),
+    ("detsingle-shift", 385): ("80a803941e486283", "d101b1ec61177f57", "140a6638341f2c03"),
+    ("det0-general", 455): ("7fc91a594ba33c78", "fa240e4df5f6f517", "3fdc46b40669b501"),
+    ("det0-scaled", 455): ("bb5bc915d447552a", "265e7a294c3453ab", "856b48818ae22729"),
+    ("detpair-scalar", 455): ("6c4cbf3553303b38", "b445e94d4a20f7b4", "feff60756e4343bc"),
+    ("detpair-shift", 455): ("f631b5640dc29b2c", "db0c907b67616d73", "58911568c17f688b"),
+    ("detpair-mixed", 455): ("3ebec51220ec5eb8", "03b727f5a42d288e", "72ed3f1bcdf2870f"),
+    ("detsingle-scalar", 455): ("74fb728540d915f5", "c1fe92dfd9e0f7ba", "e158b17f6e757570"),
+    ("detsingle-shift", 455): ("0e7b840d8136efb2", "8f779046cd2e5f99", "dc5fd399fabbe358"),
+}
+
+
+def stdout_of(monkeypatch, argv, stdin=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family, n", sorted(DIGESTS))
+def test_cli_output_digests(monkeypatch, family, n):
+    doc = stdout_of(monkeypatch, ["generate", family, "--n", str(n), "--seed", "0", "--degree", "3"])
+    as_json = stdout_of(monkeypatch, ["classify", "-", "--json"], doc)
+    as_text = stdout_of(monkeypatch, ["classify", "-"], doc)
+    assert tuple(map(digest, (doc, as_json, as_text))) == DIGESTS[family, n]
+
+
+@pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
+def test_template_table_holds_every_label(n):
+    mod = factor_squarefree(n)
+    table = template_table(mod)
+    assert {tpl.label for tpl in table.values()} == all_labels(mod)
+    assert all(tpl.stride * tpl.side == n for tpl in table.values())
+
+
+@pytest.mark.parametrize("n", [385, 455])
+def test_validate_label_is_table_membership(n):
+    mod = factor_squarefree(n)
+    labels = all_labels(mod)
+    for label in labels:
+        for mutant in mutants(mod, labels, label, FIELDS):
+            assert verdict(mod, mutant) == (mutant in labels), mutant
