@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
@@ -11,13 +10,55 @@ from .modarith import Modulus, crt_combine, mod_pow
 from .znring import pattern_of
 
 
-def prime_quadratic_roots(p: int, c: int) -> tuple[int, ...]:
-    """All x in [0, p) with x^2 = x + c (mod p), by exhaustive scan.
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p, or None for a non-residue.
 
-    The scan doubles as its own oracle; primes here are desk scale.
+    Tonelli-Shanks (Shanks 1973): O(log p + s^2) multiplications, where 2^s
+    is the largest power of 2 dividing p - 1.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def prime_quadratic_roots(p: int, c: int) -> tuple[int, ...]:
+    """All x in [0, p) with x^2 = x + c (mod p) for a prime p, ascending.
+
+    For odd p the roots are (1 +- r) / 2 with r a square root of the
+    discriminant 1 + 4c, so the cost is O(log p); modulo 2, x^2 - x is
+    always 0.  Every root is checked in x^2 - x - c before it is returned.
     """
     c %= p
-    return tuple(x for x in range(p) if (x * x - x - c) % p == 0)
+    if p == 2:
+        roots = (0, 1) if c == 0 else ()
+    else:
+        r = _sqrt_mod(1 + 4 * c, p)
+        inv2 = (p + 1) // 2
+        roots = () if r is None else tuple(sorted({(1 + r) * inv2 % p, (1 - r) * inv2 % p}))
+    for x in roots:
+        if (x * x - x - c) % p:
+            raise InternalTheoremViolation(f"{x} fails x^2 = x + {c} (mod {p})")
+    return roots
 
 
 @dataclass(frozen=True)
@@ -27,12 +68,11 @@ class TraceCandidateSet:
     solutions: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
     """All t in [0, n) with t^2 = t + 2d (mod n) for an idempotent d.
 
-    Solved per prime by scan and recombined through the CRT over every
-    choice of per-prime root.
+    Solved per prime through the discriminant and recombined through the
+    CRT over every choice of per-prime root.
     """
     n = mod.n
     d %= n
@@ -119,8 +159,8 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
     d must be one of the six nontrivial idempotents.  When d is a single
     prime power z^((a-1)(b-1)) the "prime"-pivot catalogue applies; when d
     is a pair power (a*b)^(c-1) the "pair"-pivot catalogue applies.  Every
-    expression is evaluated exactly and compared with the scan-backed
-    solver; mismatches are reported entry by entry, never repaired.
+    expression is evaluated exactly and compared with the solver;
+    mismatches are reported entry by entry, never repaired.
     """
     if mod.m != 3:
         raise WrongPrimeCount(f"need exactly 3 prime factors, got {mod.m}")

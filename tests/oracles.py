@@ -11,6 +11,11 @@ def scan_ring_idempotents(n):
     return [y for y in range(n) if (y * y - y) % n == 0]
 
 
+def scan_prime_roots(p, c):
+    """All x in [0, p) with x*x = x + c (mod p), ascending, by the full scan."""
+    return tuple(x for x in range(p) if (x * x - x - c) % p == 0)
+
+
 def scan_trace_solutions(n, d):
     return [t for t in range(n) if (t * t - t - 2 * d) % n == 0]
 

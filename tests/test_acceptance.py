@@ -11,7 +11,12 @@ from itertools import product
 from math import prod
 from pathlib import Path
 
-from oracles import matrix_census_by_det_trace, scan_matrix_idempotents, scan_trace_solutions
+from oracles import (
+    matrix_census_by_det_trace,
+    scan_matrix_idempotents,
+    scan_prime_roots,
+    scan_trace_solutions,
+)
 
 from idemring.classify import (
     DET0_GENERAL,
@@ -30,7 +35,7 @@ from idemring.classify import (
 from idemring.cli import main as cli_main, report_files
 from idemring.errors import NotSquarefree
 from idemring.modarith import Modulus, crt_combine, factor_squarefree
-from idemring.quadcong import formula_discrepancy_survey, prime_quadratic_roots, trace_candidates
+from idemring.quadcong import formula_discrepancy_survey, trace_candidates
 from idemring.znring import (
     enumerate_idempotents,
     euler_idempotent,
@@ -136,7 +141,7 @@ def test_criterion_5_trace_solver_and_report_archive(mod105, mod385, mod455):
             assert list(sols) == scan_trace_solutions(n, d)
             if d == 0:
                 assert sols == enumerate_idempotents(mod)
-            root_product = prod(len(prime_quadratic_roots(p, 2 * d)) for p in mod.primes)
+            root_product = prod(len(scan_prime_roots(p, 2 * d)) for p in mod.primes)
             assert len(sols) == root_product
             if mod.primes[0] > 3:
                 assert len(sols) == 8

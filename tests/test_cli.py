@@ -1,14 +1,38 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import idemring
 from idemring.cli import main
+
+# 5 * 7 * 10000000019: the prime cofactor is too large for any scan of Z_p
+BIG_N = 350000000665
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_fresh(*argv, timeout=60):
+    """Run the CLI in a new interpreter; returns (rc, stdout, stderr, wall seconds)."""
+    src = str(Path(idemring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "idemring", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 def test_idempotents_105(capsys):
@@ -193,3 +217,44 @@ def test_negative_degree_is_coded_error(capsys):
     rc, out, err = run(capsys, "generate", "det0-general", "--n", "385", "--degree", "-5")
     assert rc == 1 and out == ""
     assert err.startswith("error: UnsatisfiableParams:")
+
+
+def _assert_big_solutions(sols, d):
+    assert len(sols) == 8 == len(set(sols))
+    assert all(0 <= t < BIG_N and (t * t - t - 2 * d) % BIG_N == 0 for t in sols)
+
+
+def test_solve_trace_large_prime_factor():
+    rc, out, err, wall = run_fresh("solve-trace", str(BIG_N), "0", timeout=10)
+    assert rc == 0 and err == "" and wall < 2.0
+    line = next(l for l in out.splitlines() if l.startswith("solutions (8): "))
+    _assert_big_solutions([int(t) for t in line.split(": ")[1].split()], 0)
+
+
+def test_solve_trace_large_prime_factor_json():
+    d = 250000000475
+    rc, out, err, wall = run_fresh("solve-trace", str(BIG_N), str(d), "--json", timeout=10)
+    assert rc == 0 and err == "" and wall < 2.0
+    doc = json.loads(out)
+    _assert_big_solutions(doc["solutions"], d)
+    assert doc["closed_forms"]["discrepancy_count"] == 0
+
+
+def test_verify_large_prime_factor_is_bounded():
+    rc, out, err, wall = run_fresh("verify", str(BIG_N), "--budget", "1000", timeout=10)
+    assert rc == 1 and out == "" and wall < 2.0
+    assert err.startswith("error: BudgetExceeded:")
+
+
+def test_parser_reuse_matches_fresh_interpreter(capsys, tmp_path):
+    # main builds its parser once; a usage error must leave no state behind
+    doc = json.dumps({"n": 385, "entries": [[[155], []], [[], [155]]]})
+    path = tmp_path / "scalar.json"
+    path.write_text(doc)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-trace", "385"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv in (["solve-trace", "385", "210"], ["classify", str(path)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == run_fresh(*argv)[:3]

@@ -1,8 +1,10 @@
 import pytest
-from oracles import scan_trace_solutions
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import scan_prime_roots, scan_trace_solutions
 
 from idemring.errors import NotIdempotentDet, NotSquarefree, WrongPrimeCount
-from idemring.modarith import Modulus, factor_squarefree
+from idemring.modarith import Modulus, factor_squarefree, is_prime
 from idemring.quadcong import (
     closed_form_trace_solutions,
     formula_discrepancy_survey,
@@ -21,6 +23,33 @@ def test_prime_roots_examples():
 def test_prime_roots_double_root_at_3():
     # x^2 = x + 2 has the single root 2 mod 3 (2 and -1 coincide)
     assert prime_quadratic_roots(3, 2) == (2,)
+
+
+def test_prime_roots_equal_scan_below_300():
+    for p in filter(is_prime, range(300)):
+        for c in range(p):
+            assert prime_quadratic_roots(p, c) == scan_prime_roots(p, c), (p, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13, 17, 97, 193, 257, 641, 7681, 12289]),
+    c=st.integers(min_value=-(10**30), max_value=10**30),
+)
+def test_prime_roots_large_c(p, c):
+    assert prime_quadratic_roots(p, c) == scan_prime_roots(p, c)
+
+
+@pytest.mark.parametrize("p", [65537, 998244353, 10000000019])
+def test_prime_roots_match_sympy_large_p(p):
+    # 2^16 | 65536 and 2^23 | 998244352 exercise the Tonelli-Shanks loop;
+    # c = -1/4 makes the discriminant 0, a double root
+    sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
+    inv2 = (p + 1) // 2
+    for c in (0, 1, 2, 3, p - 1, p // 2, pow(-4, -1, p), 12345, 10**9 + 7, 2**40 + 3):
+        disc = (1 + 4 * c) % p
+        expect = tuple(sorted({(1 + r) * inv2 % p for r in sqrt_mod(disc, p, all_roots=True)}))
+        assert prime_quadratic_roots(p, c) == expect, (p, c)
 
 
 def test_trace_candidates_105(mod105):
