@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
@@ -70,23 +69,22 @@ FAMILIES = (
 DEFAULT_MATRIX_BUDGET = 125_000_000  # n**3 states, i.e. n <= 500
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(
+    namedtuple(
+        "ClassLabel",
+        "modulus family prime_roles det trace scale annihilator mixed_offset",
+        defaults=(None, None, None),
+    )
+):
     """One matched template: family, prime roles and pinned parameters.
 
     prime_roles lists the primes in the order the template formulas use
     them; scale/annihilator are the (I, J) pair of the scaled det-0 family
-    and mixed_offset is the diagonal offset u of the mixed family.
+    and mixed_offset is the diagonal offset u of the mixed family.  The
+    last three are None where the family does not use them.
     """
 
-    modulus: int
-    family: str
-    prime_roles: tuple[int, int, int]
-    det: int
-    trace: int
-    scale: int | None = None
-    annihilator: int | None = None
-    mixed_offset: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         bits = [f"{self.family} roles {self.prime_roles} det {self.det} trace {self.trace}"]
@@ -97,15 +95,9 @@ class ClassLabel:
         return " ".join(bits)
 
 
-@dataclass
-class ClassificationReport:
-    idempotent: bool
-    trivial: bool
-    det: int | None
-    trace: int | None
-    matches: list[ClassLabel]
-    witnesses: list[dict]
-    notes: list[str] = field(default_factory=list)
+ClassificationReport = namedtuple(
+    "ClassificationReport", "idempotent trivial det trace matches witnesses notes"
+)
 
 
 def require_classification_scope(mod: Modulus) -> None:
@@ -119,8 +111,7 @@ def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
 
 # --- the template table ------------------------------------------------
 
-@dataclass(frozen=True)
-class Template:
+class Template(namedtuple("Template", "label offset stride side")):
     """One valid label and the numbers its matrix formula uses.
 
     Every family but det0-scaled reads [[u + stride*e, stride*f],
@@ -130,10 +121,7 @@ class Template:
     condition is read modulo side = n / stride.
     """
 
-    label: ClassLabel
-    offset: int
-    stride: int
-    side: int
+    __slots__ = ()
 
 
 def _det_roles(mod: Modulus, d: int) -> tuple[tuple[int, int, int], int]:
@@ -331,7 +319,7 @@ def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
     if G.n != mod.n:
         raise ModulusMismatch(f"matrix over {G.n}, modulus {mod.n}")
     if not G.is_idempotent():
-        return ClassificationReport(False, False, None, None, [], [])
+        return ClassificationReport(False, False, None, None, [], [], [])
     n = mod.n
     try:
         d = G.det().const_value()
@@ -508,21 +496,16 @@ def bruteforce_constant_idempotents(
     return [Mat2Poly.from_ints(n, *t) for t in tuples]
 
 
-@dataclass
-class CompletenessReport:
+class CompletenessReport(
+    namedtuple(
+        "CompletenessReport",
+        "modulus primes total trivial family_counts det_histogram det_trace_histogram"
+        " unmatched match_multiplicity mixed_offsets elapsed_seconds",
+    )
+):
     """Tally of classify() over every constant idempotent matrix."""
 
-    modulus: int
-    primes: tuple[int, ...]
-    total: int
-    trivial: int
-    family_counts: dict[str, int]
-    det_histogram: dict[int, int]
-    det_trace_histogram: dict[tuple[int, int], int]
-    unmatched: list[tuple[int, int, int, int]]
-    match_multiplicity: dict[int, int]
-    mixed_offsets: dict[tuple[int, int], dict]
-    elapsed_seconds: float
+    __slots__ = ()
 
     def det_support_ok(self, idempotents) -> bool:
         return set(self.det_histogram) <= set(idempotents)

@@ -64,7 +64,7 @@ def _witness_json(wit: dict) -> dict:
 
 
 def _label_json(label) -> dict:
-    return {k: v for k, v in vars(label).items() if k != "modulus" and v is not None}
+    return {k: v for k, v in label._asdict().items() if k != "modulus" and v is not None}
 
 
 def _json_file(doc) -> str:
@@ -141,27 +141,26 @@ def _cmd_idempotents(args) -> int:
 
 def _cmd_solve_trace(args) -> int:
     mod = factor_squarefree(args.n)
-    cands = trace_candidates(mod, args.d)
-    d = cands.det
-    report = None
+    d = args.d % mod.n
     if mod.m == 3 and d not in (0, 1):
         report = closed_form_trace_solutions(mod, d)
+        solutions = report.solver_solutions
+    else:
+        report = None
+        solutions = trace_candidates(mod, d).solutions
     if args.json:
         doc = {
             "n": mod.n,
             "primes": list(mod.primes),
             "det": d,
-            "solutions": list(cands.solutions),
+            "solutions": list(solutions),
             "closed_forms": report.to_dict() if report else None,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(_header(mod))
     print(f"congruence: t^2 = t + 2*{d} (mod {mod.n})")
-    print(
-        f"solutions ({len(cands.solutions)}): "
-        + " ".join(str(t) for t in cands.solutions)
-    )
+    print(f"solutions ({len(solutions)}): " + " ".join(str(t) for t in solutions))
     if report is not None:
         print(report.to_text())
     else:
@@ -315,13 +314,17 @@ def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, st
     degree = 0
     while n ** (degree + 2) <= poly_budget:
         degree += 1
-    polys = poly_idempotents_bruteforce(mod, degree, budget=poly_budget)
-    poly_ok = all(u.is_constant() for u in polys) and {
-        u.const_value() for u in polys
-    } == set(idems)
-    checks.append(
-        ("poly-scan", poly_ok, f"degree <= {degree}: {len(polys)} idempotents, all constant")
-    )
+    try:
+        polys = poly_idempotents_bruteforce(mod, degree, budget=poly_budget)
+    except BudgetExceeded as exc:
+        checks.append(("poly-scan", True, f"skipped: {exc.code}: {exc}"))
+    else:
+        poly_ok = all(u.is_constant() for u in polys) and {
+            u.const_value() for u in polys
+        } == set(idems)
+        checks.append(
+            ("poly-scan", poly_ok, f"degree <= {degree}: {len(polys)} idempotents, all constant")
+        )
     try:
         rep = completeness_check(mod, budget=matrix_budget)
         comp_ok = (

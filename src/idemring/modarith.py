@@ -7,9 +7,9 @@ arbitrary-precision ints make all intermediate products exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from math import gcd, isqrt, prod
-from typing import Iterable
 
 from .errors import ModuliNotCoprime, ModulusTooSmall, NotCoprime, NotFactorable, NotSquarefree
 
@@ -31,23 +31,22 @@ def is_prime(k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(namedtuple("Modulus", "n primes")):
     """A squarefree modulus together with its verified prime factorization."""
 
-    n: int
-    primes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __new__(cls, n: int, primes: tuple[int, ...]) -> Modulus:
+        if n < 2:
             raise ValueError("modulus must be at least 2")
-        if list(self.primes) != sorted(set(self.primes)):
+        if list(primes) != sorted(set(primes)):
             raise ValueError("primes must be strictly ascending and distinct")
-        if prod(self.primes) != self.n:
-            raise ValueError(f"primes {self.primes} do not multiply to {self.n}")
-        for p in self.primes:
+        if prod(primes) != n:
+            raise ValueError(f"primes {primes} do not multiply to {n}")
+        for p in primes:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, n, primes)
 
     @property
     def m(self) -> int:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
 from .modarith import Modulus, crt_combine, mod_pow
-from .znring import pattern_of
+from .znring import enumerate_idempotents, pattern_of
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
@@ -61,11 +61,7 @@ def prime_quadratic_roots(p: int, c: int) -> tuple[int, ...]:
     return roots
 
 
-@dataclass(frozen=True)
-class TraceCandidateSet:
-    modulus: int
-    det: int
-    solutions: tuple[int, ...]
+TraceCandidateSet = namedtuple("TraceCandidateSet", "modulus det solutions")
 
 
 def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
@@ -89,26 +85,19 @@ def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
     return out
 
 
-@dataclass(frozen=True)
-class FormulaEntry:
-    formula: str
-    value: int
-    residues: tuple[int, ...]
-    residue_is_root: tuple[bool, ...]
-    in_solution_set: bool
+FormulaEntry = namedtuple(
+    "FormulaEntry", "formula value residues residue_is_root in_solution_set"
+)
 
 
-@dataclass
-class FormulaReport:
+class FormulaReport(
+    namedtuple(
+        "FormulaReport", "modulus primes det pivot congruence solver_solutions entries"
+    )
+):
     """Cross-check of a printed closed-form solution list against the solver."""
 
-    modulus: int
-    primes: tuple[int, ...]
-    det: int
-    pivot: str
-    congruence: str
-    solver_solutions: tuple[int, ...]
-    entries: list[FormulaEntry]
+    __slots__ = ()
 
     @property
     def discrepancies(self) -> list[FormulaEntry]:
@@ -215,20 +204,17 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
         pivot = "pair"
     cands = trace_candidates(mod, d)
     sol_set = set(cands.solutions)
-    roots = {p: set(prime_quadratic_roots(p, 2 * d)) for p in mod.primes}
     entries = []
     for text, raw in exprs:
         v = raw % n
         residues = tuple(v % p for p in mod.primes)
-        flags = tuple(res in roots[p] for res, p in zip(residues, mod.primes))
+        flags = tuple((r * r - r - 2 * d) % p == 0 for r, p in zip(residues, mod.primes))
         entries.append(FormulaEntry(text, v, residues, flags, v in sol_set))
     return FormulaReport(n, mod.primes, d, pivot, congruence, cands.solutions, entries)
 
 
 def formula_discrepancy_survey(mod: Modulus) -> list[FormulaReport]:
     """Closed-form check reports for all six nontrivial idempotent determinants."""
-    from .znring import enumerate_idempotents
-
     return [
         closed_form_trace_solutions(mod, d)
         for d in enumerate_idempotents(mod)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -100,14 +100,9 @@ def euler_idempotent(mod: Modulus, pattern) -> int:
     return euler_closed_form(mod, pattern)[0]
 
 
-@dataclass(frozen=True)
-class ExponentVariantRow:
-    pattern: tuple[int, int, int]
-    formula: str
-    value: int
-    variant_formula: str
-    variant_value: int
-    agrees: bool
+ExponentVariantRow = namedtuple(
+    "ExponentVariantRow", "pattern formula value variant_formula variant_value agrees"
+)
 
 
 def exponent_variant_check(mod: Modulus) -> list[ExponentVariantRow]:

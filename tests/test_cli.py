@@ -242,8 +242,10 @@ def test_solve_trace_large_prime_factor_json():
 
 def test_verify_large_prime_factor_is_bounded():
     rc, out, err, wall = run_fresh("verify", str(BIG_N), "--budget", "1000", timeout=10)
-    assert rc == 1 and out == "" and wall < 2.0
-    assert err.startswith("error: BudgetExceeded:")
+    assert rc == 0 and err == "" and wall < 2.0
+    lines = out.splitlines()
+    assert any(l.startswith("ok   poly-scan: skipped: BudgetExceeded: ") for l in lines)
+    assert lines[-1] == "verify: 7/7 checks passed"
 
 
 def test_parser_reuse_matches_fresh_interpreter(capsys, tmp_path):

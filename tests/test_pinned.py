@@ -12,7 +12,6 @@ import hashlib
 import io
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -59,7 +58,7 @@ def mutants(mod, labels, label, fields):
         if name in ("scale", "annihilator", "mixed_offset"):
             values.add(None)
         for value in values - {getattr(label, name)}:
-            yield replace(label, **{name: value})
+            yield label._replace(**{name: value})
 
 
 def verdict(mod, label):
