@@ -1,28 +1,31 @@
 """Classification of idempotent matrices in M2(Z_n[x]) for n = p*q*r, primes > 3.
 
-Every idempotent determinant forces the trace into a small solved set, and
-each viable (det, trace) pair carries a parameterized matrix template with a
-divisibility side condition.  ``template_table`` lists those templates once
-per modulus.  ``classify`` matches a verified idempotent against the
-template its det and trace select, recovering the template parameters as
-explicit witnesses; ``generate`` inverts a template;
-``bruteforce_constant_idempotents`` enumerates all constant idempotents; and
-``completeness_check`` replays the classifier over that enumeration.
+Z_n[x] is the product of the F_p[x], so an idempotent matrix reduces mod
+each prime to 0, to I, or to a rank-one idempotent R (det 0, trace 1).
+Each template is one type vector tau in {0, I, R}^3 other than 000 (the
+zero matrix) and III (the identity), lifted by CRT:
 
-Template families, keyed by the determinant's per-prime pattern:
+  det d      CRT of 0 at 0, 1 at I, 0 at R
+  trace t    CRT of 0 at 0, 2 at I, 1 at R
+  stride     product of the 0 and I primes; side = n / stride (the R primes)
+  offset u   CRT of 0 at 0, 1 at I modulo the stride (0 when stride = 1)
 
-  det 0, trace 1        det0-general    [[e, f], [g, 1-e]] with e(1-e) = g*f
-  det 0, trace I        det0-scaled     I * [[e, f], [g, 1-e]], e(1-e) - g*f
-                                        divisible by J = n / gcd(I, n)
-  det d = (a*b)^(s-1):
-    trace 2d            detpair-scalar  diag(d, d)
-    trace d+1           detpair-shift   [[1+s*e, s*f], [s*g, d-s*e]],
-                                        e(1+s*e) + s*g*f divisible by a*b
-    trace = 2 at s,     detpair-mixed   [[u+a*s*e, a*s*f], [a*s*g, t-(u+a*s*e)]],
-    0 at a, 1 at b                      u = 0 mod a, 1 mod s; det condition pins f
-  det d = z^((a-1)(b-1)):
-    trace 2d            detsingle-scalar  diag(d, d)
-    trace d+1           detsingle-shift   stride a*b, side divisor z
+and its matrices are [[u + stride*e, stride*f], [stride*g, t - u - stride*e]]
+with det d.  The family is read off the type counts:
+
+  RRR                det0-general      [[e, f], [g, 1-e]], e(1-e) = g*f
+  00R, 0RR and perms det0-scaled       I * [[e, f], [g, 1-e]], I = t, J = side
+  00I                detpair-scalar    diag(d, d)
+  0II                detsingle-scalar  diag(d, d)
+  RRI                detpair-shift     u = 1, side = the two R primes
+  RII                detsingle-shift   u = 1, side = the R prime
+  0IR                detpair-mixed     u = 0 at the 0 prime, 1 at the I prime
+
+``template_table`` builds the 25 templates of a modulus.  ``classify``
+recovers the parameters of the template a verified idempotent's det and
+trace select, as explicit witnesses; ``generate`` inverts a template;
+``bruteforce_constant_idempotents`` enumerates all constant idempotents;
+and ``completeness_check`` replays the classifier over that enumeration.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import time
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, prod
 from types import MappingProxyType
 
 from .errors import (
@@ -46,7 +50,7 @@ from .errors import (
 from .mat2 import Mat2Poly
 from .modarith import Modulus, crt_combine, mod_inverse
 from .polyring import Poly, coeffs_divisible, divide_coeffs
-from .znring import enumerate_idempotents, pattern_of
+from .znring import enumerate_idempotents
 
 DET0_GENERAL = "det0-general"
 DET0_SCALED = "det0-scaled"
@@ -78,10 +82,10 @@ class ClassLabel(
 ):
     """One matched template: family, prime roles and pinned parameters.
 
-    prime_roles lists the primes in the order the template formulas use
-    them; scale/annihilator are the (I, J) pair of the scaled det-0 family
-    and mixed_offset is the diagonal offset u of the mixed family.  The
-    last three are None where the family does not use them.
+    prime_roles lists the primes by type, 0 first, then R, then I, each
+    group ascending; scale/annihilator are the (I, J) pair of the scaled
+    det-0 family and mixed_offset is the diagonal offset u of the mixed
+    family.  The last three are None where the family does not use them.
     """
 
     __slots__ = ()
@@ -114,60 +118,59 @@ def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
 class Template(namedtuple("Template", "label offset stride side")):
     """One valid label and the numbers its matrix formula uses.
 
-    Every family but det0-scaled reads [[u + stride*e, stride*f],
-    [stride*g, t - u - stride*e]] with u = offset (the scalars take
-    stride n, so nothing is free); det0-scaled is I * [[e, f], [g, 1-e]]
-    with entries that are multiples of stride = gcd(I, n).  The side
-    condition is read modulo side = n / stride.
+    The template matrices are [[u + stride*e, stride*f], [stride*g,
+    t - u - stride*e]] with det d and u = offset; stride is the product of
+    the 0 and I primes of the type and side = n / stride that of its R
+    primes.
     """
 
     __slots__ = ()
 
 
-def _det_roles(mod: Modulus, d: int) -> tuple[tuple[int, int, int], int]:
-    """Role order and pattern weight for a nontrivial idempotent d.
+# (det, trace) mod p of the three idempotent types mod p, in role order
+_TYPES = {"0": (0, 0), "R": (0, 1), "I": (1, 2)}
 
-    Weight 1 (d = (a*b)^(s-1)) yields (a, b, s); weight 2
-    (d = z^((a-1)(b-1))) yields (z, a, b): the det-0 primes come first.
-    """
-    pat = pattern_of(mod, d)
-    zeros = tuple(p for p, bit in zip(mod.primes, pat) if not bit)
-    ones = tuple(p for p, bit in zip(mod.primes, pat) if bit)
-    return zeros + ones, len(ones)
+
+def _family(tau: tuple[str, ...]) -> str:
+    """The family of type vector tau, read off its counts of 0s and Is."""
+    zeros, ones = tau.count("0"), tau.count("I")
+    if not ones:
+        return DET0_SCALED if zeros else DET0_GENERAL
+    if zeros + ones == 3:
+        return (DETPAIR_SCALAR, DETSINGLE_SCALAR)[ones - 1]
+    if not zeros:
+        return (DETPAIR_SHIFT, DETSINGLE_SHIFT)[ones - 1]
+    return DETPAIR_MIXED
 
 
 @lru_cache
 def template_table(mod: Modulus) -> Mapping[tuple[int, int], Template]:
     """Every valid template over mod keyed by (det, trace): 25 in all.
 
-    This is the one place the family formulas are written down; labels,
-    validation, classification and generation all read from it.
+    One template per type vector tau in {0, I, R}^3 other than 000 and
+    III; labels, validation, classification and generation all read from
+    this table.
     """
     require_classification_scope(mod)
     n = mod.n
     table: dict[tuple[int, int], Template] = {}
-
-    def add(family, roles, det, trace, offset, stride, **extra):
-        label = ClassLabel(n, family, roles, det=det, trace=trace % n, **extra)
-        table[det, trace % n] = Template(label, offset, stride, n // stride)
-
-    add(DET0_GENERAL, mod.primes, 0, 1, 0, 1)
-    for d in nontrivial_idempotents(mod):
-        roles, weight = _det_roles(mod, d)
-        c = gcd(d, n)
-        add(DET0_SCALED, roles, 0, d, 0, c, scale=d, annihilator=n // c)
-        if weight == 1:
-            z0, z1, s = roles
-            add(DETPAIR_SCALAR, roles, d, 2 * d, d, n)
-            add(DETPAIR_SHIFT, roles, d, d + 1, 1, s)
-            for a, b in ((z0, z1), (z1, z0)):
-                u = crt_combine([(0, a), (1, s)])
-                trace = crt_combine([(0, a), (1, b), (2, s)])
-                add(DETPAIR_MIXED, (a, b, s), d, trace, u, a * s, mixed_offset=u)
-        else:
-            z, a, b = roles
-            add(DETSINGLE_SCALAR, roles, d, 2 * d, d, n)
-            add(DETSINGLE_SHIFT, roles, d, d + 1, 1, a * b)
+    for tau in product(_TYPES, repeat=3):
+        if tau in (("0",) * 3, ("I",) * 3):
+            continue
+        typed = list(zip(tau, mod.primes))
+        det, trace = (crt_combine([(_TYPES[k][i], p) for k, p in typed]) for i in (0, 1))
+        fixed = [(int(k == "I"), p) for k, p in typed if k != "R"]
+        stride = prod(p for _, p in fixed)
+        offset = crt_combine(fixed) if fixed else 0
+        roles = tuple(p for rank in _TYPES for k, p in typed if k == rank)
+        family = _family(tau)
+        extra = {}
+        if family == DET0_SCALED:
+            extra = {"scale": trace, "annihilator": n // stride}
+        elif family == DETPAIR_MIXED:
+            extra = {"mixed_offset": offset}
+        label = ClassLabel(n, family, roles, det=det, trace=trace, **extra)
+        table[det, trace] = Template(label, offset, stride, n // stride)
     if len(table) != 25 or any((t * t - t - 2 * d) % n for d, t in table):
         raise InternalTheoremViolation(f"template table over {n} is not 25 solutions of t^2 = t + 2d")
     return MappingProxyType(table)
@@ -206,11 +209,11 @@ def make_label(
         det = 0
     else:
         det = (default if det is None else det) % n
-    labels = [
+    labels = sorted(
         tpl.label
         for (d, t), tpl in table.items()
         if tpl.label.family == family and d == det and (trace is None or t == trace)
-    ]
+    )
     if not labels:
         pinned = f"scale {trace}" if family == DET0_SCALED else f"det {det}"
         raise UnsatisfiableParams(f"no {family} template with {pinned} mod {n}")
@@ -230,80 +233,36 @@ def validate_label(mod: Modulus, label: ClassLabel) -> Template:
 
 
 # --- witness recovery --------------------------------------------------
-# Each matcher takes a matrix whose (det, trace) selected its template and
-# returns the template parameters, or None when a structural check fails.
 
-def _match_det0_general(G, tpl):
-    e, f, g = G.e, G.f, G.g
-    if G.h != 1 - e:
-        return None
-    if not (e * (1 - e) - g * f).is_zero():
-        return None
-    return {"e": e, "f": f, "g": g}
+def _match_template(G, tpl):
+    """Witness parameters of G in tpl's family, or None when G is off the template.
 
-
-def _match_det0_scaled(G, tpl):
-    scale, annihilator = tpl.label.scale, tpl.side
-    if any(not coeffs_divisible(entry, tpl.stride) for entry in G.entries()):
+    The one check is that e - u, f and g are coefficientwise multiples of
+    the stride, i.e. that G has the template's stride form.  Nothing else
+    needs checking: classify has read trace(G) = t, so h = t - e exactly,
+    and det(G) = d, which given the stride form is equivalent to every
+    family's side condition (det0-general's e(1-e) = g*f, the annihilator
+    and side divisibilities, the mixed det equation), so the quotient k
+    below is exact.  Witnesses are presented per family: det0-general and
+    det0-scaled report the undivided entries, the shift and mixed families
+    the entries divided by the stride.
+    """
+    n, sigma, u, family = G.n, tpl.stride, tpl.offset, tpl.label.family
+    e_off = [(G.e.coeff(0) - u) % n, *G.e.coeffs[1:]]
+    if any(c % sigma for cs in (e_off, G.f.coeffs, G.g.coeffs) for c in cs):
         return None
-    # entries are multiples of gcd(scale, n), so scale * entry == entry and
-    # the entries themselves serve as the template parameters
-    e, f, g = G.e, G.f, G.g
-    if scale * e != G.e or scale * f != G.f or scale * g != G.g or scale * (1 - e) != G.h:
-        return None
-    side = e * (1 - e) - g * f
-    if not coeffs_divisible(side, annihilator):
-        return None
-    return {"e": e, "f": f, "g": g, "k": divide_coeffs(side, annihilator)}
-
-
-def _match_scalar(G, tpl):
-    d = tpl.label.det
-    return {} if G == Mat2Poly.from_ints(G.n, d, 0, 0, d) else None
-
-
-def _strided_params(G, tpl):
-    """(e, f, g) with G = [[u + stride*e, stride*f], [stride*g, t - u - stride*e]], or None."""
-    e_off = G.e - tpl.offset
-    if not all(coeffs_divisible(p, tpl.stride) for p in (e_off, G.f, G.g)):
-        return None
-    if G.h != tpl.label.trace - G.e:
-        return None
-    return [divide_coeffs(p, tpl.stride) for p in (e_off, G.f, G.g)]
-
-
-def _match_shift(G, tpl):
-    params = _strided_params(G, tpl)
-    if params is None:
-        return None
-    e, f, g = params
-    side = e * (1 + tpl.stride * e) + tpl.stride * (g * f)
-    if not coeffs_divisible(side, tpl.side):
-        return None
+    if family == DET0_GENERAL:
+        return {"e": G.e, "f": G.f, "g": G.g}
+    if family == DET0_SCALED:
+        e, f, g = G.e, G.f, G.g
+        return {"e": e, "f": f, "g": g, "k": divide_coeffs(e * (1 - e) - g * f, tpl.side)}
+    if family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
+        return {}
+    e, f, g = (Poly(n, [c // sigma for c in cs]) for cs in (e_off, G.f.coeffs, G.g.coeffs))
+    if family == DETPAIR_MIXED:
+        return {"e": e, "f": f, "g": g, "u": u, "diag_constant": G.e.coeff(0)}
+    side = e * (1 + sigma * e) + sigma * (g * f)
     return {"e": e, "f": f, "g": g, "k": divide_coeffs(side, tpl.side)}
-
-
-def _match_mixed(G, tpl):
-    params = _strided_params(G, tpl)
-    if params is None:
-        return None
-    e, f, g = params
-    u, sigma, t = tpl.offset, tpl.stride, tpl.label.trace
-    diag = u + sigma * e
-    if diag * (t - diag) - sigma * sigma * (f * g) != Poly.constant(G.n, tpl.label.det):
-        return None
-    return {"e": e, "f": f, "g": g, "u": u, "diag_constant": G.e.coeff(0)}
-
-
-_MATCHERS = {
-    DET0_GENERAL: _match_det0_general,
-    DET0_SCALED: _match_det0_scaled,
-    DETPAIR_SCALAR: _match_scalar,
-    DETSINGLE_SCALAR: _match_scalar,
-    DETPAIR_SHIFT: _match_shift,
-    DETSINGLE_SHIFT: _match_shift,
-    DETPAIR_MIXED: _match_mixed,
-}
 
 
 def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
@@ -338,7 +297,7 @@ def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
     if (d * d - d) % n:
         raise InternalTheoremViolation(f"idempotent matrix has non-idempotent det {d} (mod {n})")
     tpl = table.get((d, t))
-    witness = None if tpl is None else _MATCHERS[tpl.label.family](G, tpl)
+    witness = None if tpl is None else _match_template(G, tpl)
     if witness is None:
         notes.append("no template matched a non-trivial idempotent (unexpected)")
         return ClassificationReport(True, False, d, t, [], [], notes)

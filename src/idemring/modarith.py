@@ -81,7 +81,11 @@ def factor_squarefree(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> Modulus:
         if rem > bound * bound:
             raise NotFactorable(f"cofactor {rem} of {n} exceeds {bound}^2")
         primes.append(rem)
-    return Modulus(n, tuple(primes))
+    # _make skips Modulus's checks, which would re-run trial division:
+    # each d found is the least factor of rem, hence prime, and a final rem
+    # is prime because the loop stopped at d*d > rem, or at d > bound with
+    # no factor up to bound and rem <= bound**2.  Modulus(...) still checks.
+    return Modulus._make((n, tuple(primes)))
 
 
 def mod_pow(a: int, k: int, n: int) -> int:

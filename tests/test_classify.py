@@ -1,4 +1,9 @@
+import json
 import random
+from collections import Counter
+from itertools import product
+from math import prod
+from pathlib import Path
 
 import pytest
 from oracles import matrix_census_by_det_trace, scan_matrix_idempotents
@@ -21,6 +26,7 @@ from idemring.classify import (
     iter_constant_idempotent_entries,
     make_label,
     nontrivial_idempotents,
+    template_table,
     validate_label,
 )
 from idemring.errors import (
@@ -34,6 +40,8 @@ from idemring.modarith import Modulus, factor_squarefree
 from idemring.polyring import Poly
 from idemring.quadcong import trace_candidates
 from idemring.znring import enumerate_idempotents
+
+REPORTS_DIR = Path(__file__).resolve().parents[1] / "reports"
 
 
 def test_scope_guard(mod105, mod385):
@@ -283,3 +291,85 @@ def test_report_serialization(completeness385):
     assert doc["total"] == 248704
     text = completeness385.to_text()
     assert "unmatched non-trivial idempotents: 0" in text
+
+
+def test_classify_allocates_nothing_beyond_det_and_trace(monkeypatch, mod385):
+    # the first call caches the zero and identity matrices classify compares with
+    classify(Mat2Poly.identity(385), mod385)
+    x = Poly.variable(385)
+    cases = {
+        DET0_GENERAL: Mat2Poly(x, x * (1 - x), Poly.constant(385, 1), 1 - x),
+        DETPAIR_SCALAR: Mat2Poly.from_ints(385, 210, 0, 0, 210),
+        DETSINGLE_SCALAR: Mat2Poly.from_ints(385, 155, 0, 0, 155),
+    }
+    made = [0]
+    init = Poly.__init__
+
+    def counted(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    for family, G in cases.items():
+        made[0] = 0
+        G.is_idempotent(), G.det(), G.trace()
+        floor = made[0]
+        made[0] = 0
+        rep = classify(G, mod385)
+        assert [label.family for label in rep.matches] == [family]
+        assert made[0] == floor, family
+
+
+@pytest.mark.parametrize("n", [385, 455])
+def test_closed_form_census_equals_archived_report(n):
+    # a constant idempotent is a choice of idempotent mod each prime: 0 and
+    # I are one matrix each, rank one (det 0, trace 1) is p^2 + p matrices
+    mod = factor_squarefree(n)
+    archived = json.loads((REPORTS_DIR / f"completeness-{n}.json").read_text())
+    histogram = {(0, 0): 1, (1, 2): 1}
+    families = Counter()
+    for key, tpl in template_table(mod).items():
+        count = prod(p * p + p for p in mod.primes if tpl.side % p == 0)
+        histogram[key] = count
+        families[tpl.label.family] += count
+    assert {(r["det"], r["trace"]): r["count"] for r in archived["det_trace_histogram"]} == histogram
+    assert archived["family_counts"] == dict(families)
+
+
+def _crt(residues, primes):
+    x, m = 0, 1
+    for r, p in zip(residues, primes):
+        x += m * ((r - x) * pow(m, -1, p) % p)
+        m *= p
+    return x
+
+
+@pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
+def test_template_table_is_the_per_prime_type_table(n):
+    # (det, trace) mod p of the zero matrix, the identity and a rank-one idempotent
+    det_trace = {"0": (0, 0), "I": (1, 2), "R": (0, 1)}
+    mod = factor_squarefree(n)
+    table = template_table(mod)
+    # 000 and III are the zero matrix and the identity
+    types = [tau for tau in product("0IR", repeat=3) if tau not in (("0",) * 3, ("I",) * 3)]
+    assert len(types) == len(table) == 25
+    for tau in types:
+        key = tuple(_crt([det_trace[k][i] for k in tau], mod.primes) for i in (0, 1))
+        tpl = table[key]
+        stride = prod(p for k, p in zip(tau, mod.primes) if k != "R")
+        zeros, ones, rs = (tau.count(k) for k in "0IR")
+        if rs == 3:
+            family = DET0_GENERAL
+        elif not ones:
+            family = DET0_SCALED
+        elif not rs:
+            family = DETPAIR_SCALAR if ones == 1 else DETSINGLE_SCALAR
+        elif not zeros:
+            family = DETPAIR_SHIFT if ones == 1 else DETSINGLE_SHIFT
+        else:
+            family = DETPAIR_MIXED
+        assert (tpl.label.det, tpl.label.trace) == key, tau
+        assert (tpl.stride, tpl.side) == (stride, n // stride), tau
+        fixed = [(int(k == "I"), p) for k, p in zip(tau, mod.primes) if k != "R"]
+        assert tpl.offset == (_crt(*zip(*fixed)) if fixed else 0), tau
+        assert tpl.label.family == family, tau

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idemring import modarith
 from idemring.errors import ModuliNotCoprime, NotCoprime, NotFactorable, NotSquarefree
 from idemring.modarith import (
     Modulus,
@@ -49,6 +50,21 @@ def test_modulus_validation():
         Modulus(9, (3, 3))
     with pytest.raises(ValueError):
         Modulus(15, (3, 7))
+
+
+def test_factor_does_not_recertify_primes(monkeypatch):
+    # trial division already proved every prime it returns, so the result
+    # is built without a second primality pass; Modulus(...) still checks
+    def refuse(k):
+        raise AssertionError(f"is_prime({k}) called again")
+
+    monkeypatch.setattr(modarith, "is_prime", refuse)
+    mod = factor_squarefree(35 * 999999999989)
+    assert isinstance(mod, Modulus)
+    assert mod == (35 * 999999999989, (5, 7, 999999999989))
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        Modulus(21, (1, 21))
 
 
 def test_mod_pow_examples():
