@@ -13,6 +13,7 @@ import json
 import sys
 from functools import cache
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from math import prod
 
 from .classify import (
@@ -67,8 +68,73 @@ def _label_json(label) -> dict:
     return {k: v for k, v in label._asdict().items() if k != "modulus" and v is not None}
 
 
-def _json_file(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+# Exact type -> JSON text of the scalars a document may hold.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte.
+
+    doc is a dict, list or tuple built from dicts with str keys, lists,
+    tuples and scalars of exact type str, int, bool or None; anything else
+    raises TypeError.
+    """
+    parts: list[str] = []
+    _encode(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(value, nl: str, put) -> None:
+    """Append the container value to put; nl is the newline and indent of its line.
+
+    Scalars are encoded in the loops, so only containers recurse.  Dicts and
+    lists keep separate loops: one loop over (key prefix, item) pairs for
+    both took about 1.5x as long on solve-trace documents.
+    """
+    inner = nl + "  "
+    comma = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = sep + encode_basestring_ascii(key) + ": "
+            sep = comma
+            enc = _SCALARS.get(type(item))
+            if enc is not None:
+                put(head + enc(item))
+            elif isinstance(item, (dict, list, tuple)):
+                put(head)
+                _encode(item, inner, put)
+            else:
+                raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+        put(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            enc = _SCALARS.get(type(item))
+            if enc is not None:
+                put(sep + enc(item))
+            elif isinstance(item, (dict, list, tuple)):
+                put(sep)
+                _encode(item, inner, put)
+            else:
+                raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+            sep = comma
+        put(nl + "]")
+    else:
+        raise TypeError(f"a document is a dict, list or tuple, not {type(value).__name__}")
 
 
 def report_files(mod: Modulus, completeness) -> dict[str, str]:
@@ -80,11 +146,11 @@ def report_files(mod: Modulus, completeness) -> dict[str, str]:
     surveys = formula_discrepancy_survey(mod)
     files = {
         f"trace-formulas-{mod.n}.txt": "\n\n".join(r.to_text() for r in surveys) + "\n",
-        f"trace-formulas-{mod.n}.json": _json_file([r.to_dict() for r in surveys]),
+        f"trace-formulas-{mod.n}.json": _dumps([r.to_dict() for r in surveys]) + "\n",
     }
     if completeness is not None:
         files[f"completeness-{mod.n}.txt"] = completeness.to_text() + "\n"
-        files[f"completeness-{mod.n}.json"] = _json_file(completeness.to_dict())
+        files[f"completeness-{mod.n}.json"] = _dumps(completeness.to_dict()) + "\n"
     return files
 
 
@@ -120,7 +186,7 @@ def _cmd_idempotents(args) -> int:
                 for r in variants
             ],
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
         return 0
     print(_header(mod))
     print(f"idempotents ({len(idems)}): " + " ".join(str(y) for y in idems))
@@ -156,7 +222,7 @@ def _cmd_solve_trace(args) -> int:
             "solutions": list(solutions),
             "closed_forms": report.to_dict() if report else None,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
         return 0
     print(_header(mod))
     print(f"congruence: t^2 = t + 2*{d} (mod {mod.n})")
@@ -198,7 +264,7 @@ def _cmd_classify(args) -> int:
             "witnesses": [_witness_json(w) for w in rep.witnesses],
             "notes": rep.notes,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
         return 0
     print(_header(mod))
     print(f"matrix: {G.render()}")
@@ -261,7 +327,7 @@ def _cmd_oracle(args) -> int:
             "count": len(mats),
             "det_histogram": [{"det": d, "count": c} for d, c in sorted(det_hist.items())],
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
         return 0
     print(_header(mod))
     print(f"constant idempotent matrices: {len(mats)}")
@@ -340,8 +406,7 @@ def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, st
             (
                 "matrix-completeness",
                 comp_ok,
-                f"{rep.total} matrices, {len(rep.unmatched)} unmatched, "
-                f"impossible traces absent ({rep.elapsed_seconds:.1f} s)",
+                f"{rep.total} matrices, {len(rep.unmatched)} unmatched, impossible traces absent",
             )
         )
     except (PrimesOutOfScope, WrongPrimeCount, BudgetExceeded) as exc:
@@ -361,7 +426,7 @@ def _cmd_verify(args) -> int:
             "passed": passed,
             "total": len(checks),
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
         return 0 if passed == len(checks) else 1
     print(_header(mod))
     for name, ok, detail in checks:

@@ -116,10 +116,10 @@ def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n; raises NotCoprime when gcd(a, n) > 1."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    g, s, _ = ext_gcd(a % n, n)
-    if g != 1:
-        raise NotCoprime(f"gcd({a}, {n}) = {g}")
-    return s % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise NotCoprime(f"gcd({a}, {n}) = {gcd(a, n)}") from None
 
 
 def crt_combine(system: Iterable[tuple[int, int]]) -> int:

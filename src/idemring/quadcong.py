@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product
+from operator import mul
 
 from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
-from .modarith import Modulus, crt_combine, mod_pow
+from .modarith import Modulus, mod_inverse, mod_pow
 from .znring import enumerate_idempotents, pattern_of
 
 
@@ -67,17 +68,17 @@ TraceCandidateSet = namedtuple("TraceCandidateSet", "modulus det solutions")
 def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
     """All t in [0, n) with t^2 = t + 2d (mod n) for an idempotent d.
 
-    Solved per prime through the discriminant and recombined through the
-    CRT over every choice of per-prime root.
+    Solved per prime through the discriminant and recombined over every
+    choice of per-prime root through the CRT basis e_p = (n/p)*((n/p)^-1 mod p),
+    which is 1 mod p and 0 mod every other prime.
     """
     n = mod.n
     d %= n
     if (d * d - d) % n:
         raise NotIdempotentDet(f"{d} is not idempotent mod {n}")
     per_prime = [prime_quadratic_roots(p, 2 * d) for p in mod.primes]
-    sols = set()
-    for combo in product(*per_prime):
-        sols.add(crt_combine(list(zip(combo, mod.primes))))
+    basis = [n // p * mod_inverse(n // p, p) for p in mod.primes]
+    sols = {sum(map(mul, combo, basis)) % n for combo in product(*per_prime)}
     out = TraceCandidateSet(n, d, tuple(sorted(sols)))
     for t in out.solutions:
         if (t * t - t - 2 * d) % n:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 from itertools import product
 from math import prod
@@ -19,6 +20,7 @@ from idemring.classify import (
     FAMILIES,
     ClassLabel,
     bruteforce_constant_idempotents,
+    _match_template,
     classify,
     completeness_check,
     expected_trace_values,
@@ -373,3 +375,20 @@ def test_template_table_is_the_per_prime_type_table(n):
         fixed = [(int(k == "I"), p) for k, p in zip(tau, mod.primes) if k != "R"]
         assert tpl.offset == (_crt(*zip(*fixed)) if fixed else 0), tau
         assert tpl.label.family == family, tau
+
+
+def test_match_template_rejects_a_stride_that_does_not_divide_f(monkeypatch, mod385):
+    # [[0, 1], [0, 1]] is a det0-general idempotent (stride 1); a forged
+    # stride 5 divides e - u = 0 and g = 0 but not f = 1
+    G = Mat2Poly.from_ints(385, 0, 1, 0, 1)
+    table = template_table(mod385)
+    tpl = table[0, 1]
+    assert _match_template(G, tpl) == {"e": G.e, "f": G.f, "g": G.g}
+    forged = tpl._replace(stride=5, side=77)
+    assert _match_template(G, forged) is None
+    # the package re-exports the function classify, which shadows the module
+    module = sys.modules["idemring.classify"]
+    monkeypatch.setattr(module, "template_table", lambda mod: {**table, (0, 1): forged})
+    rep = classify(G, mod385)
+    assert (rep.idempotent, rep.trivial, rep.matches) == (True, False, [])
+    assert rep.notes == ["no template matched a non-trivial idempotent (unexpected)"]

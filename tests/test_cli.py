@@ -6,9 +6,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idemring
-from idemring.cli import main
+from idemring.cli import _dumps, main
 
 # 5 * 7 * 10000000019: the prime cofactor is too large for any scan of Z_p
 BIG_N = 350000000665
@@ -260,3 +262,30 @@ def test_parser_reuse_matches_fresh_interpreter(capsys, tmp_path):
     for argv in (["solve-trace", "385", "210"], ["classify", str(path)]):
         rc, out, err = run(capsys, *argv)
         assert (rc, out, err) == run_fresh(*argv)[:3]
+
+
+# strings that exercise every escape: quotes, backslashes, control
+# characters, DEL, non-ASCII and astral code points
+_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f e\xe9\u20ac\U0001f600') | st.characters(), max_size=6
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _TEXT
+_CONTAINERS = st.recursive(
+    st.lists(_SCALARS, max_size=4) | st.dictionaries(_TEXT, _SCALARS, max_size=4),
+    lambda inner: st.lists(inner | _SCALARS, max_size=4)
+    | st.lists(inner | _SCALARS, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner | _SCALARS, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150)
+@given(_CONTAINERS)
+def test_dumps_is_stdlib_indent_2_sort_keys(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{"a": 1.5}, [[{1, 2}]], {1: "x"}, {"a": {2: 3}}, 1.5, "top-level"])
+def test_dumps_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        _dumps(doc)

@@ -108,6 +108,17 @@ def test_mod_inverse_examples():
     assert mod_inverse(35, 11) == 6
     with pytest.raises(NotCoprime):
         mod_inverse(5, 105)
+    assert mod_inverse(-4, 15) == 11
+
+
+@pytest.mark.parametrize(
+    "a, n, message",
+    [(-10, 15, "gcd(-10, 15) = 5"), (5, 105, "gcd(5, 105) = 5"), (0, 7, "gcd(0, 7) = 7"), (30, 15, "gcd(30, 15) = 15")],
+)
+def test_mod_inverse_not_coprime_message(a, n, message):
+    with pytest.raises(NotCoprime) as exc:
+        mod_inverse(a, n)
+    assert str(exc.value) == message
 
 
 @settings(max_examples=200)

@@ -4,6 +4,9 @@ The label set and the validate_label verdicts are derived from make_label
 alone; the CLI digests were recorded before the template table existed
 and must not move: classify text and --json output (witnesses included)
 and the generator's seeded draws are all part of the stable interface.
+The --json digests of solve-trace, idempotents, oracle and verify were
+recorded while the CLI serialized through json.dumps, so they pin that
+cli._dumps writes the same bytes.
 The last test pins that validate_label accepts exactly the table's
 labels, so a label carrying a field its family does not use is rejected.
 """
@@ -16,6 +19,7 @@ from itertools import permutations
 
 import pytest
 
+from idemring import cli
 from idemring.classify import (
     DET0_GENERAL,
     DET0_SCALED,
@@ -130,6 +134,48 @@ def test_cli_output_digests(monkeypatch, family, n):
     as_json = stdout_of(monkeypatch, ["classify", "-", "--json"], doc)
     as_text = stdout_of(monkeypatch, ["classify", "-"], doc)
     assert tuple(map(digest, (doc, as_json, as_text))) == DIGESTS[family, n]
+
+
+# sha256 prefixes of `--json` stdout, recorded while the CLI still wrote
+# through json.dumps(doc, indent=2, sort_keys=True)
+SOLVE_TRACE_JSON_DIGESTS = {
+    385: {
+        0: "da595ab6a97214c3", 1: "1c472d649d0a6e6e", 56: "9c972d9374318ba1",
+        155: "41489e727b25140f", 176: "2612c24d67b53aa6", 210: "30ce0e0556520a20",
+        231: "aa9fc5d7447f0d32", 330: "52495ab8e6b66fe1",
+    },
+    455: {
+        0: "3bd4003834f28e3b", 1: "9c2a9ffca69d4e9e", 91: "b00705c800b65cde",
+        105: "801acb4eaf756b4d", 196: "3fc25513df1bba6e", 260: "4d831f725aa1c5b4",
+        351: "39e90eaf1c6c5a83", 365: "7d01185eb1067a86",
+    },
+    35 * 20011: {
+        0: "34378e01f1e6fe64", 1: "7dc8328e343b5171", 80045: "5507fd6f178f806b",
+        200110: "bb455b49259aa317", 280155: "c140d4c0e4765d69", 420231: "8956f3d7967faa1b",
+        500276: "6e95b02f0ff9e8e3", 620341: "024415580f4c8649",
+    },
+}
+JSON_DIGESTS = {
+    **{
+        ("solve-trace", str(n), str(d), "--json"): prefix
+        for n, prefixes in SOLVE_TRACE_JSON_DIGESTS.items()
+        for d, prefix in prefixes.items()
+    },
+    ("idempotents", "385", "--json"): "fb4b4d8dcc52a53e",
+    ("oracle", "35", "--json"): "7d4546e914088225",
+    ("verify", "105", "--json"): "18dcce68c2d0f07d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(JSON_DIGESTS))
+def test_cli_json_digests(monkeypatch, argv):
+    assert digest(stdout_of(monkeypatch, list(argv))) == JSON_DIGESTS[argv]
+
+
+def test_verify_json_digest(monkeypatch, completeness385):
+    # the completeness sweep is the session fixture's; verify prints no timing
+    monkeypatch.setattr(cli, "completeness_check", lambda mod, budget: completeness385)
+    assert digest(stdout_of(monkeypatch, ["verify", "385", "--json"])) == "c2923d148c2972c9"
 
 
 @pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
