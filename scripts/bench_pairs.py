@@ -2,11 +2,12 @@
 """Run the benchmark on two checkouts in alternating pairs and summarize.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workloads W [W ...] \
-        --seeds N [N ...] [--seconds 20] [--out FILE]
+        --seeds N [N ...] [--out FILE]
 
 For every workload and seed, `perfbench/run.py --workload W --seed N
 --seconds S` runs once in each checkout, each run in its own process and
-one at a time; odd seeds run the parent first, even seeds the change.  The
+one at a time; odd seeds run the parent first, even seeds the change.  S is
+the `run_seconds` of the checkouts' BENCHMARK.json, which must agree.  The
 summary (the `env`, `command` and `end_to_end` parts of a BENCH_<k>.json)
 goes to stdout, and to FILE with --out; nothing else is written.  Per
 metric it gives each side's quartiles (statistics.quantiles, inclusive
@@ -22,6 +23,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def run_seconds(checkouts: dict[str, Path]) -> float:
+    """The run length both checkouts' BENCHMARK.json declare."""
+    declared = {json.loads((c / "BENCHMARK.json").read_text())["run_seconds"] for c in checkouts.values()}
+    if len(declared) != 1:
+        sys.exit(f"error: the checkouts declare different run_seconds: {sorted(declared)}")
+    return declared.pop()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -76,17 +85,17 @@ def main() -> None:
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", type=Path, default=None, help="also write the summary here")
     args = ap.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = run_seconds(checkouts)
     env = None
     end_to_end = {}
     for workload in args.workloads:
         results: dict[str, list[dict]] = {side: [] for side in SIDES}
         for seed in args.seeds:
             for side in SIDES if seed % 2 else reversed(SIDES):
-                info, result = run_once(checkouts[side], workload, seed, args.seconds)
+                info, result = run_once(checkouts[side], workload, seed, seconds)
                 env = env or info["env"]
                 results[side].append(result)
                 metrics = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
@@ -95,7 +104,7 @@ def main() -> None:
     doc = {
         "env": env,
         "command": (
-            f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds:g}, each run in "
+            f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g}, each run in "
             "its own process; parent and change checkouts side by side, runs alternating which side "
             "goes first (odd seeds parent first, even seeds change first); quartiles by "
             "statistics.quantiles(method='inclusive'); every run made is listed"
