@@ -22,7 +22,6 @@ from .classify import (
     ClassificationReport,
     ClassLabel,
     CompletenessReport,
-    bruteforce_constant_idempotents,
     classify,
     completeness_check,
     expected_trace_values,
@@ -38,13 +37,12 @@ from .mat2 import (
     load_matrix,
     matrix_from_document,
     matrix_to_document,
+    read_matrix,
     save_matrix,
 )
 from .modarith import (
-    DEFAULT_TRIAL_BOUND,
     Modulus,
     crt_combine,
-    ext_gcd,
     factor_squarefree,
     is_prime,
     mod_inverse,
@@ -65,9 +63,7 @@ from .znring import (
     ExponentVariantRow,
     enumerate_idempotents,
     euler_closed_form,
-    euler_idempotent,
     exponent_variant_check,
-    is_reduced,
     pattern_of,
     poly_idempotents_bruteforce,
 )

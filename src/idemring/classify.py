@@ -24,7 +24,7 @@ with det d.  The family is read off the type counts:
 ``template_table`` builds the 25 templates of a modulus.  ``classify``
 recovers the parameters of the template a verified idempotent's det and
 trace select, as explicit witnesses; ``generate`` inverts a template;
-``bruteforce_constant_idempotents`` enumerates all constant idempotents;
+``iter_constant_idempotent_entries`` enumerates all constant idempotents;
 and ``completeness_check`` replays the classifier over that enumeration.
 """
 
@@ -107,6 +107,12 @@ ClassificationReport = namedtuple(
 def require_classification_scope(mod: Modulus) -> None:
     if mod.m != 3 or mod.primes[0] <= 3:
         raise PrimesOutOfScope(f"need three distinct primes, all > 3; got {mod}")
+
+
+def require_matrix_budget(mod: Modulus, budget: int) -> None:
+    """Charge a sweep over the constant matrices of M2(Z_n) its n**3 states."""
+    if mod.n**3 > budget:
+        raise BudgetExceeded(f"{mod.n}^3 states exceed budget {budget}")
 
 
 def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
@@ -406,7 +412,7 @@ def generate(
     return G
 
 
-# --- brute-force oracle and completeness ---------------------------------
+# --- enumeration and completeness ----------------------------------------
 
 def iter_constant_idempotent_entries(mod: Modulus):
     """Yield (e, f, g, h) for every constant idempotent matrix, deterministically.
@@ -442,17 +448,6 @@ def iter_constant_idempotent_entries(mod: Modulus):
                 for g in range(g0, n, cof):
                     if g % step == 0:
                         yield (e, f, g, h)
-
-
-def bruteforce_constant_idempotents(
-    mod: Modulus, budget: int = DEFAULT_MATRIX_BUDGET
-) -> list[Mat2Poly]:
-    """All constant matrices G with G @ G == G, sorted by entry tuple."""
-    n = mod.n
-    if n**3 > budget:
-        raise BudgetExceeded(f"{n}^3 states exceed budget {budget}")
-    tuples = sorted(iter_constant_idempotent_entries(mod))
-    return [Mat2Poly.from_ints(n, *t) for t in tuples]
 
 
 class CompletenessReport(
@@ -520,9 +515,8 @@ def completeness_check(mod: Modulus, budget: int = DEFAULT_MATRIX_BUDGET) -> Com
     histogram is supported on the 2^3 idempotents of Z_n.
     """
     table = template_table(mod)
+    require_matrix_budget(mod, budget)
     n = mod.n
-    if n**3 > budget:
-        raise BudgetExceeded(f"{n}^3 states exceed budget {budget}")
     start = time.perf_counter()
     family_counts: Counter = Counter()
     det_hist: Counter = Counter()

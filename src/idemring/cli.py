@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
@@ -19,13 +20,14 @@ from math import prod
 from .classify import (
     DEFAULT_MATRIX_BUDGET,
     FAMILIES,
-    bruteforce_constant_idempotents,
     classify,
     completeness_check,
     expected_trace_values,
     generate,
+    iter_constant_idempotent_entries,
     make_label,
     nontrivial_idempotents,
+    require_matrix_budget,
 )
 from .errors import (
     BudgetExceeded,
@@ -36,7 +38,7 @@ from .errors import (
     PrimesOutOfScope,
     WrongPrimeCount,
 )
-from .mat2 import load_matrix, matrix_from_document, matrix_to_document, save_matrix
+from .mat2 import load_matrix, matrix_to_document, read_matrix, save_matrix
 from .modarith import Modulus, crt_combine, factor_squarefree
 from .polyring import Poly, parse_poly
 from .quadcong import closed_form_trace_solutions, formula_discrepancy_survey, trace_candidates
@@ -154,16 +156,23 @@ def report_files(mod: Modulus, completeness) -> dict[str, str]:
     return files
 
 
+def _closed_form_cross_check(mod: Modulus) -> list[tuple]:
+    """(pattern, CRT value, formula text, formula value, agree) for the 8 patterns."""
+    rows = []
+    for pat in product((0, 1), repeat=3):
+        value, text = euler_closed_form(mod, pat)
+        via_crt = crt_combine(list(zip(pat, mod.primes)))
+        rows.append((pat, via_crt, text, value, value == via_crt))
+    return rows
+
+
 def _cmd_idempotents(args) -> int:
     mod = factor_squarefree(args.n)
     idems = enumerate_idempotents(mod)
     cross = []
     variants = []
     if mod.m == 3:
-        for pat in product((0, 1), repeat=3):
-            value, text = euler_closed_form(mod, pat)
-            via_crt = crt_combine(list(zip(pat, mod.primes)))
-            cross.append((pat, via_crt, text, value, value == via_crt))
+        cross = _closed_form_cross_check(mod)
         variants = exponent_variant_check(mod)
     if args.json:
         doc = {
@@ -236,11 +245,7 @@ def _cmd_solve_trace(args) -> int:
 
 def _read_matrix(path):
     if path == "-":
-        try:
-            doc = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"not valid JSON: {exc}") from exc
-        return matrix_from_document(doc)
+        return read_matrix(sys.stdin)
     try:
         return load_matrix(path)
     except OSError as exc:
@@ -314,23 +319,21 @@ def _cmd_generate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mod = factor_squarefree(args.n)
-    budget = args.budget if args.budget is not None else DEFAULT_MATRIX_BUDGET
-    mats = bruteforce_constant_idempotents(mod, budget=budget)
-    det_hist: dict[int, int] = {}
-    for G in mats:
-        d = G.det().const_value()
-        det_hist[d] = det_hist.get(d, 0) + 1
+    require_matrix_budget(mod, args.budget)
+    n = mod.n
+    det_hist = Counter((e * h - f * g) % n for e, f, g, h in iter_constant_idempotent_entries(mod))
+    count = sum(det_hist.values())
     if args.json:
         doc = {
-            "n": mod.n,
+            "n": n,
             "primes": list(mod.primes),
-            "count": len(mats),
+            "count": count,
             "det_histogram": [{"det": d, "count": c} for d, c in sorted(det_hist.items())],
         }
         print(_dumps(doc))
         return 0
     print(_header(mod))
-    print(f"constant idempotent matrices: {len(mats)}")
+    print(f"constant idempotent matrices: {count}")
     print("det histogram: " + " ".join(f"{d}:{c}" for d, c in sorted(det_hist.items())))
     return 0
 
@@ -354,10 +357,7 @@ def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, st
         scan = tuple(y for y in range(n) if (y * y - y) % n == 0)
         checks.append(("full-scan", scan == idems, f"scan found {len(scan)} idempotents"))
     if mod.m == 3:
-        ok = True
-        for pat in product((0, 1), repeat=3):
-            value, _ = euler_closed_form(mod, pat)
-            ok = ok and value == crt_combine(list(zip(pat, mod.primes)))
+        ok = all(row[-1] for row in _closed_form_cross_check(mod))
         variants = exponent_variant_check(mod)
         agree = sum(1 for r in variants if r.agrees)
         checks.append(
@@ -476,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="enumerate all constant idempotent matrices")
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=None, help="cap on brute-force states (n^3)")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_MATRIX_BUDGET, help="cap on brute-force states (n^3)"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

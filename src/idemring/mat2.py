@@ -168,10 +168,20 @@ def save_matrix(G: Mat2Poly, path) -> None:
         fp.write("\n")
 
 
+def read_matrix(fp) -> Mat2Poly:
+    """Parse a matrix document from a text stream.
+
+    Every way the text can fail to decode is a MatrixFormatError: invalid
+    JSON or UTF-8 and an integer past the digit limit are ValueErrors, and
+    nesting too deep for the decoder is a RecursionError.
+    """
+    try:
+        doc = json.load(fp)
+    except (ValueError, RecursionError) as exc:
+        raise MatrixFormatError(f"not valid JSON: {exc}") from exc
+    return matrix_from_document(doc)
+
+
 def load_matrix(path) -> Mat2Poly:
     with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"not valid JSON: {exc}") from exc
-    return matrix_from_document(doc)
+        return read_matrix(fp)

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic: squarefree factorization, powers, gcd, CRT.
+"""Exact modular arithmetic: squarefree factorization, powers, inverses, CRT.
 
 Residues are plain Python ints kept canonical in ``[0, n)``; every public
 function reduces its inputs, so arbitrary integers are accepted.  Python's
@@ -12,8 +12,6 @@ from collections.abc import Iterable
 from math import gcd, isqrt, prod
 
 from .errors import ModuliNotCoprime, ModulusTooSmall, NotCoprime, NotFactorable, NotSquarefree
-
-DEFAULT_TRIAL_BOUND = 10**6
 
 
 def is_prime(k: int) -> bool:
@@ -56,17 +54,16 @@ class Modulus(namedtuple("Modulus", "n primes")):
         return f"{self.n} = " + " * ".join(str(p) for p in self.primes)
 
 
-def factor_squarefree(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> Modulus:
+def factor_squarefree(n: int) -> Modulus:
     """Factor n by trial division, insisting every prime appears exactly once.
 
     Raises ModulusTooSmall for n < 2, NotSquarefree on a repeated prime
-    factor and NotFactorable when a cofactor larger than bound**2 survives
-    trial division up to bound (such a cofactor cannot be certified prime).
+    factor and NotFactorable when a cofactor larger than 10**12 survives
+    trial division up to 10**6 (such a cofactor cannot be certified prime).
     """
     if n < 2:
         raise ModulusTooSmall(f"n must be at least 2, got {n}")
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
+    bound = 10**6  # trial division certifies a prime cofactor up to bound**2
     primes = []
     rem = n
     d = 2
@@ -95,21 +92,6 @@ def mod_pow(a: int, k: int, n: int) -> int:
     if k < 0:
         raise ValueError("exponent must be non-negative")
     return pow(a % n, k, n)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) >= 0 and a*s + b*t = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def mod_inverse(a: int, n: int) -> int:

@@ -165,15 +165,12 @@ def parse_poly(n: int, text: str) -> Poly:
         if m is None:
             raise PolyParseError(f"bad term {body!r} in {text!r}")
         coeff_txt, exp_txt, bare_exp = m.groups()
-        if coeff_txt is None:
-            c = 1
-            k = int(bare_exp) if bare_exp else 1
-        else:
-            c = int(coeff_txt)
-            if "x" in body:
-                k = int(exp_txt) if exp_txt else 1
-            else:
-                k = 0
+        try:
+            c = 1 if coeff_txt is None else int(coeff_txt)
+            exp = exp_txt or bare_exp
+            k = int(exp) if exp else int("x" in body)
+        except ValueError as exc:  # a number past the int digit limit
+            raise PolyParseError(f"bad term of {len(body)} characters: {exc}") from None
         acc[k] = acc.get(k, 0) + sign * c
     vec = [0] * (max(acc) + 1)
     for k, c in acc.items():

@@ -6,26 +6,11 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .errors import (
-    BudgetExceeded,
-    InternalTheoremViolation,
-    NotIdempotentDet,
-    NotSquarefree,
-    WrongPrimeCount,
-)
-from .modarith import DEFAULT_TRIAL_BOUND, Modulus, crt_combine, factor_squarefree, mod_pow
+from .errors import BudgetExceeded, InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
+from .modarith import Modulus, crt_combine, mod_pow
 from .polyring import Poly
 
 DEFAULT_POLY_BUDGET = 2_000_000
-
-
-def is_reduced(n: int, bound: int = DEFAULT_TRIAL_BOUND) -> bool:
-    """True when Z_n has no nonzero nilpotents, i.e. n is squarefree."""
-    try:
-        factor_squarefree(n, bound)
-    except NotSquarefree:
-        return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -93,11 +78,6 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
             f"closed form {text} = {value} but CRT gives {expected} (mod {mod.n})"
         )
     return value, text
-
-
-def euler_idempotent(mod: Modulus, pattern) -> int:
-    """Idempotent with the given pattern via its closed-form power expression."""
-    return euler_closed_form(mod, pattern)[0]
 
 
 ExponentVariantRow = namedtuple(

@@ -25,10 +25,10 @@ from idemring.classify import (
     DETPAIR_SCALAR,
     DETPAIR_SHIFT,
     FAMILIES,
-    bruteforce_constant_idempotents,
     classify,
     expected_trace_values,
     generate,
+    iter_constant_idempotent_entries,
     make_label,
     nontrivial_idempotents,
 )
@@ -38,7 +38,7 @@ from idemring.modarith import Modulus, crt_combine, factor_squarefree
 from idemring.quadcong import formula_discrepancy_survey, trace_candidates
 from idemring.znring import (
     enumerate_idempotents,
-    euler_idempotent,
+    euler_closed_form,
     exponent_variant_check,
     poly_idempotents_bruteforce,
 )
@@ -77,7 +77,7 @@ def test_criterion_2_closed_forms_sweep_2000():
     variant_mismatches = []
     for mod in moduli:
         for pat in product((0, 1), repeat=3):
-            assert euler_idempotent(mod, pat) == crt_combine(list(zip(pat, mod.primes)))
+            assert euler_closed_form(mod, pat)[0] == crt_combine(list(zip(pat, mod.primes)))
         for row in exponent_variant_check(mod):
             if not row.agrees:
                 variant_mismatches.append((mod.n, row))
@@ -231,7 +231,7 @@ def test_criterion_8_generator_soundness(mod385):
 def test_criterion_9_oracle_counts():
     counts = {}
     for n, primes in ((2, (2,)), (5, (5,)), (35, (5, 7))):
-        counts[n] = len(bruteforce_constant_idempotents(Modulus(n, primes)))
+        counts[n] = sum(1 for _ in iter_constant_idempotent_entries(Modulus(n, primes)))
     assert counts == {2: 8, 5: 32, 35: 1856}
     # CRT multiplicativity against literal per-prime scans
     assert counts[35] == len(scan_matrix_idempotents(5)) * len(scan_matrix_idempotents(7))

@@ -19,7 +19,6 @@ from idemring.classify import (
     DETSINGLE_SHIFT,
     FAMILIES,
     ClassLabel,
-    bruteforce_constant_idempotents,
     _match_template,
     classify,
     completeness_check,
@@ -28,6 +27,7 @@ from idemring.classify import (
     iter_constant_idempotent_entries,
     make_label,
     nontrivial_idempotents,
+    require_matrix_budget,
     template_table,
     validate_label,
 )
@@ -210,30 +210,29 @@ def test_mixed_role_swap_distinct(mod385):
 
 
 def test_oracle_counts_small():
-    two = bruteforce_constant_idempotents(Modulus(2, (2,)))
-    assert len(two) == 8
-    assert {tuple(p.const_value() for p in G.entries()) for G in two} == set(
-        scan_matrix_idempotents(2)
-    )
-    five = bruteforce_constant_idempotents(Modulus(5, (5,)))
-    assert len(five) == 32
-    assert {tuple(p.const_value() for p in G.entries()) for G in five} == set(
-        scan_matrix_idempotents(5)
-    )
+    for p, count in ((2, 8), (5, 32)):
+        entries = list(iter_constant_idempotent_entries(Modulus(p, (p,))))
+        assert len(entries) == count
+        assert set(entries) == set(scan_matrix_idempotents(p))
 
 
 def test_oracle_count_35_multiplicative():
-    mats = bruteforce_constant_idempotents(Modulus(35, (5, 7)))
-    assert len(mats) == 1856
-    assert len(mats) == len(scan_matrix_idempotents(5)) * len(scan_matrix_idempotents(7))
-    assert all(G.is_idempotent() for G in mats[:200])
+    entries = list(iter_constant_idempotent_entries(Modulus(35, (5, 7))))
+    assert len(entries) == 1856
+    assert len(entries) == len(scan_matrix_idempotents(5)) * len(scan_matrix_idempotents(7))
+    assert all(Mat2Poly.from_ints(35, *t).is_idempotent() for t in entries)
 
 
-def test_oracle_budget():
-    with pytest.raises(BudgetExceeded):
-        bruteforce_constant_idempotents(factor_squarefree(1001), budget=10**6)
-    with pytest.raises(BudgetExceeded):
-        completeness_check(factor_squarefree(1001), budget=10**6)
+def test_oracle_budget(mod105):
+    mod = factor_squarefree(1001)
+    require_matrix_budget(mod, 1001**3)
+    with pytest.raises(BudgetExceeded, match=r"^1001\^3 states exceed budget 1000000$"):
+        require_matrix_budget(mod, 10**6)
+    with pytest.raises(BudgetExceeded, match=r"^1001\^3 states exceed budget 1000000$"):
+        completeness_check(mod, budget=10**6)
+    # the scope guard comes first
+    with pytest.raises(PrimesOutOfScope):
+        completeness_check(mod105, budget=1)
 
 
 def test_enumeration_is_sorted_and_unique(mod385):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import idemring
 from idemring.cli import _dumps, main
+from idemring.mat2 import Mat2Poly
 
 # 5 * 7 * 10000000019: the prime cofactor is too large for any scan of Z_p
 BIG_N = 350000000665
@@ -94,7 +96,13 @@ def test_solve_trace_rejects_non_idempotent(capsys):
     assert err.startswith("error: NotIdempotentDet:")
 
 
-def test_oracle_counts(capsys):
+def test_oracle_counts(capsys, monkeypatch):
+    # oracle tallies dets from the entry tuples; every Mat2Poly is refused
+    def refuse(*args):
+        raise AssertionError("oracle built a Mat2Poly")
+
+    monkeypatch.setattr(Mat2Poly, "from_ints", refuse)
+    monkeypatch.setattr(Mat2Poly, "__init__", refuse)
     rc, out, _ = run(capsys, "oracle", "5")
     assert rc == 0
     assert "constant idempotent matrices: 32" in out
@@ -144,6 +152,10 @@ def test_generate_bad_poly_is_usage_error(capsys):
     rc, _, err = run(capsys, "generate", "det0-general", "--n", "385", "--e", "x^")
     assert rc == 2
     assert err.startswith("error: PolyParseError:")
+    # an integer past the int digit limit
+    rc, out, err = run(capsys, "generate", "det0-general", "--n", "385", "--e", "7" * 5000)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: PolyParseError: bad term of 5000 characters: ")
 
 
 def test_classify_out_of_scope(capsys, tmp_path):
@@ -163,6 +175,31 @@ def test_classify_bad_file(capsys, tmp_path):
     rc, _, err = run(capsys, "classify", str(tmp_path / "missing.json"))
     assert rc == 1
     assert err.startswith("error: MatrixFormatError:")
+
+
+# documents the JSON decoder rejects with RecursionError, ValueError (the
+# int digit limit) and UnicodeDecodeError
+UNDECODABLE = {
+    "deep-nesting": b"[" * 100000,
+    "long-integer": b'{"n": ' + b"7" * 5000 + b', "entries": []}',
+    "not-utf8": b'{"n": 385, "entries": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_classify_undecodable_input_is_coded_error(capsys, monkeypatch, tmp_path, name, source):
+    data = UNDECODABLE[name]
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        path = "-"
+    else:
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: MatrixFormatError: not valid JSON: ")
+    assert "Traceback" not in err
 
 
 def test_classify_json_output(capsys, tmp_path):

@@ -7,7 +7,6 @@ from idemring.errors import ModuliNotCoprime, NotCoprime, NotFactorable, NotSqua
 from idemring.modarith import (
     Modulus,
     crt_combine,
-    ext_gcd,
     factor_squarefree,
     is_prime,
     mod_inverse,
@@ -33,14 +32,14 @@ def test_factor_rejects_square():
 
 
 def test_factor_prime_cofactor_certified():
-    # 2 * 1009: cofactor 1009 <= bound**2 even for a tiny bound
-    assert factor_squarefree(2 * 1009, bound=40).primes == (2, 1009)
+    # 999999999989 is the largest prime below 10**12 = (trial bound)**2
+    assert factor_squarefree(2 * 999999999989).primes == (2, 999999999989)
 
 
 def test_factor_unresolved_cofactor():
-    # 1009 * 1013 has no factor below 40 and exceeds 40**2
-    with pytest.raises(NotFactorable):
-        factor_squarefree(1009 * 1013, bound=40)
+    # 1000003 * 1000033 has no factor up to the trial bound 10**6 and exceeds 10**12
+    with pytest.raises(NotFactorable, match=r"exceeds 1000000\^2"):
+        factor_squarefree(1000003 * 1000033)
 
 
 def test_modulus_validation():
@@ -83,24 +82,6 @@ def test_mod_pow_additive_exponents(a, k1, k2, n):
 def test_fermat_little(p, a):
     if a % p != 0:
         assert mod_pow(a, p - 1, p) == 1
-
-
-def test_ext_gcd_examples():
-    g, s, t = ext_gcd(35, 11)
-    assert g == 1 and 35 * s + 11 * t == 1
-    assert ext_gcd(0, 5) == (5, 0, 1)
-    assert ext_gcd(0, -5) == (5, 0, -1)
-    assert ext_gcd(6, 4) == (2, 1, -1)
-
-
-@settings(max_examples=300)
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_ext_gcd_certificate(a, b):
-    g, s, t = ext_gcd(a, b)
-    assert g >= 0
-    assert a * s + b * t == g
-    if a or b:
-        assert a % g == 0 and b % g == 0
 
 
 def test_mod_inverse_examples():

@@ -6,7 +6,8 @@ and must not move: classify text and --json output (witnesses included)
 and the generator's seeded draws are all part of the stable interface.
 The --json digests of solve-trace, idempotents, oracle and verify were
 recorded while the CLI serialized through json.dumps, so they pin that
-cli._dumps writes the same bytes.
+cli._dumps writes the same bytes; the oracle digests at 385 and 455 were
+recorded while oracle read each det off a Mat2Poly.
 The last test pins that validate_label accepts exactly the table's
 labels, so a label carrying a field its family does not use is rejected.
 """
@@ -170,6 +171,20 @@ JSON_DIGESTS = {
 @pytest.mark.parametrize("argv", sorted(JSON_DIGESTS))
 def test_cli_json_digests(monkeypatch, argv):
     assert digest(stdout_of(monkeypatch, list(argv))) == JSON_DIGESTS[argv]
+
+
+# sha256 prefixes of oracle stdout, recorded while oracle still built a
+# Mat2Poly for every constant idempotent to read its det
+ORACLE_DIGESTS = {
+    ("oracle", "385"): "fdf2ebe8eb517599",
+    ("oracle", "385", "--json"): "588573e1aaba0756",
+    ("oracle", "455", "--json"): "f4bed16a164da844",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLE_DIGESTS))
+def test_oracle_digests(monkeypatch, argv):
+    assert digest(stdout_of(monkeypatch, list(argv))) == ORACLE_DIGESTS[argv]
 
 
 def test_verify_json_digest(monkeypatch, completeness385):

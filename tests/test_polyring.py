@@ -114,6 +114,7 @@ def test_parse_grammar():
     assert parse_poly(N, "7x") == P(0, 7)
     assert parse_poly(N, "-x + 1") == P(1, N - 1)
     assert parse_poly(N, "x^3 + x^3") == P(0, 0, 0, 2)
+    assert parse_poly(N, "2*x^3 - 4") == P(N - 4, 0, 0, 2)
     assert parse_poly(N, "0") == P()
 
 
@@ -121,6 +122,10 @@ def test_parse_rejects_garbage():
     for bad in ("", "x^", "3**x", "y + 1", "1 + + 2"):
         with pytest.raises(PolyParseError):
             parse_poly(N, bad)
+    # numbers past the int digit limit
+    for template in ("{}", "{}*x", "x^{}", "2*x^{}"):
+        with pytest.raises(PolyParseError, match="^bad term of "):
+            parse_poly(N, template.format("7" * 5000))
 
 
 def test_divisibility_helpers():

@@ -4,14 +4,12 @@ from itertools import product
 import pytest
 from oracles import scan_poly_idempotents, scan_ring_idempotents
 
-from idemring.errors import BudgetExceeded, NotFactorable, WrongPrimeCount
+from idemring.errors import BudgetExceeded, WrongPrimeCount
 from idemring.modarith import Modulus, crt_combine, factor_squarefree
 from idemring.znring import (
     enumerate_idempotents,
     euler_closed_form,
-    euler_idempotent,
     exponent_variant_check,
-    is_reduced,
     pattern_of,
     poly_idempotents_bruteforce,
 )
@@ -56,9 +54,9 @@ def prod_of(xs):
 
 
 def test_euler_idempotent_examples(mod105, mod385):
-    assert euler_idempotent(mod105, (0, 0, 1)) == 15
-    assert euler_idempotent(mod105, (1, 1, 1)) == 1
-    assert euler_idempotent(mod385, (0, 1, 1)) == 155
+    assert euler_closed_form(mod105, (0, 0, 1))[0] == 15
+    assert euler_closed_form(mod105, (1, 1, 1))[0] == 1
+    assert euler_closed_form(mod385, (0, 1, 1))[0] == 155
     # cross-check through the CRT route
     assert crt_combine([(0, 5), (1, 7), (1, 11)]) == 155
 
@@ -72,14 +70,14 @@ def test_euler_all_patterns_match_crt():
     for n in (105, 385, 455, 1001, 2431):
         mod = factor_squarefree(n)
         for pat in product((0, 1), repeat=3):
-            assert euler_idempotent(mod, pat) == crt_combine(list(zip(pat, mod.primes)))
+            assert euler_closed_form(mod, pat)[0] == crt_combine(list(zip(pat, mod.primes)))
 
 
 def test_euler_wrong_prime_count():
     with pytest.raises(WrongPrimeCount):
-        euler_idempotent(Modulus(35, (5, 7)), (0, 1))
+        euler_closed_form(Modulus(35, (5, 7)), (0, 1))
     with pytest.raises(ValueError):
-        euler_idempotent(Modulus(105, (3, 5, 7)), (0, 2, 1))
+        euler_closed_form(Modulus(105, (3, 5, 7)), (0, 2, 1))
 
 
 def test_exponent_variant_rows(mod105, mod385):
@@ -108,14 +106,6 @@ def test_pattern_of(mod385):
     assert pattern_of(mod385, 210) == (0, 0, 1)
     assert pattern_of(mod385, 155) == (0, 1, 1)
     assert pattern_of(mod385, 1) == (1, 1, 1)
-
-
-def test_is_reduced():
-    assert is_reduced(105)
-    assert not is_reduced(4)
-    assert not is_reduced(12)
-    with pytest.raises(NotFactorable):
-        is_reduced(1009 * 1013, bound=40)
 
 
 def test_poly_bruteforce_degree0_is_ring(mod105):
