@@ -10,9 +10,10 @@ one at a time; odd seeds run the parent first, even seeds the change.  S is
 the `run_seconds` of the checkouts' BENCHMARK.json, which must agree.  The
 summary (the `env`, `command` and `end_to_end` parts of a BENCH_<k>.json)
 goes to stdout, and to FILE with --out; nothing else is written.  Per
-metric it gives each side's quartiles (statistics.quantiles, inclusive
-method) and every run, the number of pairs in which the change read lower,
-and the ratio of the medians.  Progress goes to stderr.
+workload it lists each run's verdict count and raw verdict time, and per
+metric each side's quartiles (statistics.quantiles, inclusive method) and
+every run, the number of pairs in which the change read lower, and the
+ratio of the medians.  Progress goes to stderr.
 """
 
 import argparse
@@ -57,11 +58,21 @@ def quartiles(runs: list[float]) -> dict:
     }
 
 
-def summarize(seeds: list[int], results: dict[str, list[dict]]) -> dict:
-    """results maps each side to its result objects, in seed order."""
+def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]]) -> dict:
+    """runs maps each side to its (info, result) pairs, in seed order.
+
+    Each run's verdict count and raw verdict time come from its info line,
+    so a peak_rss_mb move can be told apart from a change in how many
+    verdicts the run held.
+    """
+    results = {side: [result for _, result in runs[side]] for side in SIDES}
     out = {
         "seeds": seeds,
         "pairs": len(seeds),
+        "verdicts": {side: [info["verdicts"] for info, _ in runs[side]] for side in SIDES},
+        "raw_verdict_s": {
+            side: [round(info["raw"]["verdict_s"], 6) for info, _ in runs[side]] for side in SIDES
+        },
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
         "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "all_correct": all(r["correct"] for side in SIDES for r in results[side]),
@@ -92,15 +103,19 @@ def main() -> None:
     env = None
     end_to_end = {}
     for workload in args.workloads:
-        results: dict[str, list[dict]] = {side: [] for side in SIDES}
+        runs: dict[str, list[tuple[dict, dict]]] = {side: [] for side in SIDES}
         for seed in args.seeds:
             for side in SIDES if seed % 2 else reversed(SIDES):
                 info, result = run_once(checkouts[side], workload, seed, seconds)
                 env = env or info["env"]
-                results[side].append(result)
+                runs[side].append((info, result))
                 metrics = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
-                print(f"{workload} seed {seed} {side}: failed={result['failed']} {metrics}", file=sys.stderr)
-        end_to_end[workload] = summarize(args.seeds, results)
+                print(
+                    f"{workload} seed {seed} {side}: failed={result['failed']} "
+                    f"verdicts={info['verdicts']} {metrics}",
+                    file=sys.stderr,
+                )
+        end_to_end[workload] = summarize(args.seeds, runs)
     doc = {
         "env": env,
         "command": (

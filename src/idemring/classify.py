@@ -71,6 +71,9 @@ FAMILIES = (
 )
 
 DEFAULT_MATRIX_BUDGET = 125_000_000  # n**3 states, i.e. n <= 500
+# generate's products are quadratic in the degree; at this bound its worst
+# explicit-parameter call over n near 10**24 takes well under a second
+MAX_GENERATE_DEGREE = 1000
 
 
 class ClassLabel(
@@ -283,12 +286,13 @@ def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
     table = template_table(mod)
     if G.n != mod.n:
         raise ModulusMismatch(f"matrix over {G.n}, modulus {mod.n}")
-    if not G.is_idempotent():
+    det_trace = G.idempotent_det_trace()
+    if det_trace is None:
         return ClassificationReport(False, False, None, None, [], [], [])
     n = mod.n
     try:
-        d = G.det().const_value()
-        t = G.trace().const_value()
+        d = det_trace[0].const_value()
+        t = det_trace[1].const_value()
     except NotConstant as exc:
         raise InternalTheoremViolation(
             f"verified idempotent has non-constant det or trace: {exc}"
@@ -386,12 +390,18 @@ def generate(
     Free template parameters left as None are drawn from rng (or a fresh
     Random(seed)); the parameter bound by the side condition is solved per
     coefficient.  Explicit parameters that violate the side condition and
-    cannot be repaired raise UnsatisfiableParams.  The result is verified
-    idempotent before being returned.
+    cannot be repaired raise UnsatisfiableParams, and so do a max_degree or
+    an explicit parameter of degree above MAX_GENERATE_DEGREE.  The result
+    is verified idempotent before being returned.
     """
     tpl = validate_label(mod, label)
     if max_degree < 0:
         raise UnsatisfiableParams(f"max_degree must be non-negative, got {max_degree}")
+    if max_degree > MAX_GENERATE_DEGREE:
+        raise UnsatisfiableParams(f"max_degree {max_degree} exceeds the limit {MAX_GENERATE_DEGREE}")
+    for name, p in (("e", e), ("f", f), ("g", g), ("m", m)):
+        if p is not None and p.degree > MAX_GENERATE_DEGREE:
+            raise UnsatisfiableParams(f"{name} of degree {p.degree} exceeds the limit {MAX_GENERATE_DEGREE}")
     n = mod.n
     if rng is None:
         rng = random.Random(seed)

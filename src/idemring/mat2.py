@@ -68,8 +68,29 @@ class Mat2Poly:
     def trace(self) -> Poly:
         return self.e + self.h
 
+    def idempotent_det_trace(self) -> tuple[Poly, Poly] | None:
+        """(det, trace) when G is idempotent, else None.
+
+        Cayley-Hamilton, G*G = t*G - d*I with t = trace and d = det, holds
+        for every 2x2 matrix over a commutative ring, nilpotents included.
+        So G*G = G exactly when (t - 1)*G = d*I: four products with the
+        det and trace the caller wants anyway, where squaring G takes
+        eight products and four sums.
+        """
+        d, t = self.det(), self.trace()
+        s = t - 1
+        if (
+            (s * self.f).is_zero()
+            and (s * self.g).is_zero()
+            and s * self.e == d
+            and s * self.h == d
+        ):
+            return d, t
+        return None
+
     def is_idempotent(self) -> bool:
-        return (self @ self) == self
+        """G*G = G, decided by Cayley-Hamilton (see idempotent_det_trace)."""
+        return self.idempotent_det_trace() is not None
 
     def complement(self) -> "Mat2Poly":
         return Mat2Poly.identity(self.n) - self
@@ -104,8 +125,9 @@ def _identity(n: int) -> Mat2Poly:
 def idempotency_equations_hold(G: Mat2Poly) -> bool:
     """Entry equations e^2+fg=e, f(e+h)=f, g(e+h)=g, fg+h^2=h, checked directly.
 
-    Equivalent to G @ G == G; both routes exist so they can be played
-    against each other in tests.
+    Equivalent to G @ G == G and to is_idempotent's Cayley-Hamilton test;
+    the three routes exist so they can be played against each other in
+    tests.
     """
     t = G.e + G.h
     fg = G.f * G.g

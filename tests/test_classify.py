@@ -313,7 +313,7 @@ def test_classify_allocates_nothing_beyond_det_and_trace(monkeypatch, mod385):
     monkeypatch.setattr(Poly, "__init__", counted)
     for family, G in cases.items():
         made[0] = 0
-        G.is_idempotent(), G.det(), G.trace()
+        G.idempotent_det_trace()
         floor = made[0]
         made[0] = 0
         rep = classify(G, mod385)

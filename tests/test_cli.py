@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import idemring
 from idemring.cli import _dumps, main
-from idemring.mat2 import Mat2Poly
+from idemring.mat2 import Mat2Poly, matrix_from_document
 
 # 5 * 7 * 10000000019: the prime cofactor is too large for any scan of Z_p
 BIG_N = 350000000665
@@ -256,6 +256,35 @@ def test_negative_degree_is_coded_error(capsys):
     rc, out, err = run(capsys, "generate", "det0-general", "--n", "385", "--degree", "-5")
     assert rc == 1 and out == ""
     assert err.startswith("error: UnsatisfiableParams:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "det0-general", "--n", "385", "--degree", "100000"],
+        ["generate", "det0-general", "--n", "385", "--e", "x^100000"],
+        ["generate", "detpair-scalar", "--n", "385", "--degree", "1001"],
+        ["generate", "det0-scaled", "--n", "385", "--f", "1", "--m", "x^1001"],
+    ],
+)
+def test_generate_degree_over_limit_is_coded_error(argv):
+    rc, out, err, wall = run_fresh(*argv, timeout=10)
+    assert rc == 1 and out == "" and wall < 2.0
+    assert err.startswith("error: UnsatisfiableParams:") and "exceeds the limit 1000" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "det0-general", "--n", "385", "--degree", "1000"],
+        # dense e of degree 1000, so f = e(1-e) has degree 2000
+        ["generate", "det0-scaled", "--n", "385", "--e", " + ".join(f"{k % 384 + 1}*x^{k}" for k in range(1001))],
+    ],
+)
+def test_generate_at_degree_limit_answers_in_time(argv):
+    rc, out, err, wall = run_fresh(*argv, timeout=10)
+    assert rc == 0 and err == "" and wall < 2.0
+    assert matrix_from_document(json.loads(out)).is_idempotent()
 
 
 def _assert_big_solutions(sols, d):

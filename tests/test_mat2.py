@@ -1,8 +1,10 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
+from idemring.classify import generate, iter_constant_idempotent_entries, template_table
 from idemring.errors import MatrixFormatError, ModulusMismatch
 from idemring.mat2 import (
     Mat2Poly,
@@ -12,6 +14,7 @@ from idemring.mat2 import (
     matrix_to_document,
     save_matrix,
 )
+from idemring.modarith import Modulus, factor_squarefree
 from idemring.polyring import Poly
 
 N = 385
@@ -72,11 +75,67 @@ def _random_matrix(rng, n, max_degree):
     return Mat2Poly(poly(), poly(), poly(), poly())
 
 
+def _routes_agree(A) -> bool:
+    """Assert the three idempotency routes agree on A; return their verdict."""
+    det_trace = A.idempotent_det_trace()
+    verdict = (A @ A) == A
+    assert A.is_idempotent() == idempotency_equations_hold(A) == verdict == (det_trace is not None)
+    if det_trace is not None:
+        assert det_trace == (A.det(), A.trace())
+    return verdict
+
+
+def _twin(rng, A):
+    """A with one coefficient of one entry changed, possibly past its degree."""
+    entries = list(A.entries())
+    k = rng.randrange(4)
+    coeffs = list(entries[k].coeffs) + [0]
+    i = rng.randrange(len(coeffs))
+    coeffs[i] += rng.randrange(1, A.n)
+    entries[k] = Poly(A.n, coeffs)
+    return Mat2Poly(*entries)
+
+
 def test_two_idempotency_routes_agree():
     rng = random.Random(11)
     for _ in range(10_000):
-        A = _random_matrix(rng, N, 3)
-        assert A.is_idempotent() == idempotency_equations_hold(A)
+        _routes_agree(_random_matrix(rng, N, 3))
+
+
+def test_idempotency_routes_agree_on_constant_idempotents():
+    entries = list(iter_constant_idempotent_entries(Modulus(35, (5, 7))))
+    assert len(entries) == 1856
+    assert all(_routes_agree(Mat2Poly.from_ints(35, *entry)) for entry in entries)
+
+
+@pytest.mark.parametrize("n", [385, 455, 1001])
+def test_idempotency_routes_agree_on_generated_matrices(n):
+    mod = factor_squarefree(n)
+    rng = random.Random(n)
+    for tpl in template_table(mod).values():
+        for degree in range(7):
+            G = generate(mod, tpl.label, rng=rng, max_degree=degree)
+            assert _routes_agree(G)
+            _routes_agree(_twin(rng, G))
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 36])
+def test_idempotency_routes_agree_with_nilpotents(n):
+    # Cayley-Hamilton holds over any commutative ring, so the routes must
+    # agree over Z_n[x] with nilpotents too
+    if n <= 8:
+        for entry in product(range(n), repeat=4):
+            _routes_agree(Mat2Poly.from_ints(n, *entry))
+    rng = random.Random(n)
+    one = Poly(n, (1,))
+    for _ in range(500):
+        # v w^T with v = (1, a) and w = (1 - ab, b), so w.v = 1: rank one, idempotent
+        a, b = (Poly(n, [rng.randrange(n) for _ in range(rng.randint(0, 4))]) for _ in "ab")
+        ab = a * b
+        G = Mat2Poly(one - ab, b, a * (one - ab), ab)
+        assert _routes_agree(G)
+        _routes_agree(_twin(rng, G))
+        _routes_agree(_random_matrix(rng, n, 2))
 
 
 def test_complement_of_idempotent_is_idempotent():
