@@ -10,10 +10,14 @@ one at a time; odd seeds run the parent first, even seeds the change.  S is
 the `run_seconds` of the checkouts' BENCHMARK.json, which must agree.  The
 summary (the `env`, `command` and `end_to_end` parts of a BENCH_<k>.json)
 goes to stdout, and to FILE with --out; nothing else is written.  Per
-workload it lists each run's verdict count and raw verdict time, and per
-metric each side's quartiles (statistics.quantiles, inclusive method) and
-every run, the number of pairs in which the change read lower, and the
-ratio of the medians.  Progress goes to stderr.
+workload it lists each run's verdict count and raw verdict time and
+whether the two sides' median verdict counts differ, and per metric each
+side's quartiles (statistics.quantiles, inclusive method) and every run,
+the number of pairs in which the change read lower, the ratio of the
+medians, and two verdicts against BENCHMARK.json: within_bound (the change
+median is no worse than the parent's by more than the metric's bound) and
+meets_claim_rule (better in at least 9/10 of the pairs, and by more than
+the parent's IQR in the median).  Progress goes to stderr.
 """
 
 import argparse
@@ -26,12 +30,15 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_seconds(checkouts: dict[str, Path]) -> float:
-    """The run length both checkouts' BENCHMARK.json declare."""
-    declared = {json.loads((c / "BENCHMARK.json").read_text())["run_seconds"] for c in checkouts.values()}
-    if len(declared) != 1:
-        sys.exit(f"error: the checkouts declare different run_seconds: {sorted(declared)}")
-    return declared.pop()
+def benchmark_rules(checkouts: dict[str, Path]) -> tuple[float, dict[str, dict]]:
+    """The run length and the end-to-end metrics (name -> better, bound) that
+    both checkouts' BENCHMARK.json declare."""
+    docs = [json.loads((c / "BENCHMARK.json").read_text()) for c in checkouts.values()]
+    declared = [(doc["run_seconds"], doc["end_to_end"]) for doc in docs]
+    if declared[0] != declared[1]:
+        sys.exit("error: the checkouts declare different run_seconds or end_to_end metrics")
+    seconds, metrics = declared[0]
+    return seconds, {m["name"]: m for m in metrics}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -58,18 +65,25 @@ def quartiles(runs: list[float]) -> dict:
     }
 
 
-def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]]) -> dict:
-    """runs maps each side to its (info, result) pairs, in seed order.
+def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]], rules: dict[str, dict]) -> dict:
+    """runs maps each side to its (info, result) pairs, in seed order, and
+    rules each metric to its BENCHMARK.json entry (better, bound).
 
     Each run's verdict count and raw verdict time come from its info line,
     so a peak_rss_mb move can be told apart from a change in how many
-    verdicts the run held.
+    verdicts the run held; verdict_counts_differ flags sides whose median
+    verdict counts differ.  Per metric, within_bound says the change median
+    is no worse than the parent's by more than the bound, and
+    meets_claim_rule that the change is better in at least 9/10 of the
+    pairs and its median beats the parent's by more than the parent's IQR.
     """
     results = {side: [result for _, result in runs[side]] for side in SIDES}
+    verdicts = {side: [info["verdicts"] for info, _ in runs[side]] for side in SIDES}
     out = {
         "seeds": seeds,
         "pairs": len(seeds),
-        "verdicts": {side: [info["verdicts"] for info, _ in runs[side]] for side in SIDES},
+        "verdicts": verdicts,
+        "verdict_counts_differ": statistics.median(verdicts["parent"]) != statistics.median(verdicts["change"]),
         "raw_verdict_s": {
             side: [round(info["raw"]["verdict_s"], 6) for info, _ in runs[side]] for side in SIDES
         },
@@ -83,8 +97,15 @@ def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]]) -> dic
         summary = {side: quartiles(runs[side]) for side in SIDES}
         lower = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
         summary["change_lower_in_pairs"] = f"{lower}/{len(seeds)}"
-        summary["change_over_parent_median"] = round(
-            summary["change"]["median"] / summary["parent"]["median"], 4
+        parent, change = summary["parent"]["median"], summary["change"]["median"]
+        summary["change_over_parent_median"] = round(change / parent, 4)
+        # sign 1 when lower is better: gains and losses are then parent - change
+        sign = 1 if rules[name]["better"] == "lower" else -1
+        wins = lower if sign == 1 else sum(c > p for p, c in zip(runs["parent"], runs["change"]))
+        summary["within_bound"] = sign * (change - parent) <= rules[name]["bound"] * parent
+        summary["meets_claim_rule"] = (
+            10 * wins >= 9 * len(seeds)
+            and sign * (parent - change) > summary["parent"]["q3"] - summary["parent"]["q1"]
         )
         out["metrics"][name] = summary
     return out
@@ -99,7 +120,7 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=None, help="also write the summary here")
     args = ap.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = run_seconds(checkouts)
+    seconds, rules = benchmark_rules(checkouts)
     env = None
     end_to_end = {}
     for workload in args.workloads:
@@ -115,7 +136,7 @@ def main() -> None:
                     f"verdicts={info['verdicts']} {metrics}",
                     file=sys.stderr,
                 )
-        end_to_end[workload] = summarize(args.seeds, runs)
+        end_to_end[workload] = summarize(args.seeds, runs, rules)
     doc = {
         "env": env,
         "command": (

@@ -47,7 +47,7 @@ from .errors import (
     PrimesOutOfScope,
     UnsatisfiableParams,
 )
-from .mat2 import Mat2Poly
+from .mat2 import MAX_ENTRY_DEGREE, MAX_GENERATE_DEGREE, Mat2Poly
 from .modarith import Modulus, crt_combine, mod_inverse
 from .polyring import Poly, coeffs_divisible, divide_coeffs
 from .znring import enumerate_idempotents
@@ -71,9 +71,6 @@ FAMILIES = (
 )
 
 DEFAULT_MATRIX_BUDGET = 125_000_000  # n**3 states, i.e. n <= 500
-# generate's products are quadratic in the degree; at this bound its worst
-# explicit-parameter call over n near 10**24 takes well under a second
-MAX_GENERATE_DEGREE = 1000
 
 
 class ClassLabel(
@@ -191,6 +188,23 @@ def expected_trace_values(mod: Modulus, d: int) -> set[int]:
     return {t for det, t in template_table(mod) if det == d}
 
 
+@lru_cache
+def _label_index(mod: Modulus):
+    """make_label's lookups over mod, built once beside template_table.
+
+    Returns (labels, pair_det, single_det): labels maps (family, det), or
+    (family, scale) for det0-scaled, to that family's labels in sorted
+    order; pair_det and single_det are the default dets with patterns
+    (0,0,1) and (0,1,1).
+    """
+    labels: dict[tuple[str, int], list[ClassLabel]] = defaultdict(list)
+    for (d, t), tpl in template_table(mod).items():
+        family = tpl.label.family
+        labels[family, t if family == DET0_SCALED else d].append(tpl.label)
+    pair_det, single_det = (crt_combine(list(zip(bits, mod.primes))) for bits in ((0, 0, 1), (0, 1, 1)))
+    return {key: sorted(group) for key, group in labels.items()}, pair_det, single_det
+
+
 def make_label(
     mod: Modulus,
     family: str,
@@ -205,28 +219,22 @@ def make_label(
     families and to the prime power with pattern (0,1,1) for the det-single
     families; scale defaults to the (0,0,1) idempotent for det0-scaled.
     """
-    table = template_table(mod)
+    labels, pair_det, single_det = _label_index(mod)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    n = mod.n
-    single = family in (DETSINGLE_SCALAR, DETSINGLE_SHIFT)
-    default = crt_combine(list(zip((0, 1, 1) if single else (0, 0, 1), mod.primes)))
-    trace = None
     if family == DET0_SCALED:
-        det, trace = 0, (default if scale is None else scale) % n
+        key = (pair_det if scale is None else scale) % mod.n
     elif family == DET0_GENERAL:
-        det = 0
+        key = 0
+    elif det is None:
+        key = single_det if family in (DETSINGLE_SCALAR, DETSINGLE_SHIFT) else pair_det
     else:
-        det = (default if det is None else det) % n
-    labels = sorted(
-        tpl.label
-        for (d, t), tpl in table.items()
-        if tpl.label.family == family and d == det and (trace is None or t == trace)
-    )
-    if not labels:
-        pinned = f"scale {trace}" if family == DET0_SCALED else f"det {det}"
-        raise UnsatisfiableParams(f"no {family} template with {pinned} mod {n}")
-    return labels[-1] if swap_mixed_roles else labels[0]
+        key = det % mod.n
+    found = labels.get((family, key))
+    if not found:
+        pinned = "scale" if family == DET0_SCALED else "det"
+        raise UnsatisfiableParams(f"no {family} template with {pinned} {key} mod {mod.n}")
+    return found[-1] if swap_mixed_roles else found[0]
 
 
 def validate_label(mod: Modulus, label: ClassLabel) -> Template:
@@ -263,8 +271,9 @@ def _match_template(G, tpl):
     if family == DET0_GENERAL:
         return {"e": G.e, "f": G.f, "g": G.g}
     if family == DET0_SCALED:
-        e, f, g = G.e, G.f, G.g
-        return {"e": e, "f": f, "g": g, "k": divide_coeffs(e * (1 - e) - g * f, tpl.side)}
+        # h = t - e and det(G) = d give e(1-e) - g*f = (1-t)*e + d exactly
+        k = divide_coeffs((1 - tpl.label.trace) * G.e + tpl.label.det, tpl.side)
+        return {"e": G.e, "f": G.f, "g": G.g, "k": k}
     if family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         return {}
     e, f, g = (Poly(n, [c // sigma for c in cs]) for cs in (e_off, G.f.coeffs, G.g.coeffs))
@@ -347,12 +356,13 @@ def _solved_f(target: Poly, gpoly: Poly, factor: int, w: int, n: int) -> Poly:
 def _scaled_matrix(tpl, e, f, g, m):
     """I * [[e, f], [g, 1-e]] with e(1-e) - g*f divisible by the annihilator."""
     n, annihilator = tpl.label.modulus, tpl.side
+    h = 1 - e
     if f is None:
-        f = _solved_f(e * (1 - e) - annihilator * m, g, 1, n, n)
-    elif not coeffs_divisible(e * (1 - e) - g * f, annihilator):
+        f = _solved_f(e * h - annihilator * m, g, 1, n, n)
+    elif not coeffs_divisible(e * h - g * f, annihilator):
         raise UnsatisfiableParams(f"e(1-e) - g*f must be divisible by the annihilator {annihilator}")
     scale = tpl.label.scale
-    return Mat2Poly(scale * e, scale * f, scale * g, scale * (1 - e))
+    return Mat2Poly(scale * e, scale * f, scale * g, scale * h)
 
 
 def _strided_matrix(tpl, e, f, g):
@@ -363,14 +373,15 @@ def _strided_matrix(tpl, e, f, g):
     """
     n, d, t, sigma = tpl.label.modulus, tpl.label.det, tpl.label.trace, tpl.stride
     diag = tpl.offset + sigma * e
-    residual = diag * (t - diag) - d
+    h = t - diag
+    residual = diag * h - d
     if not coeffs_divisible(residual, sigma):
         raise InternalTheoremViolation("template residual not divisible by the stride")
     if f is None:
         f = _solved_f(divide_coeffs(residual, sigma), g, sigma, tpl.side, n)
     elif sigma * sigma * (f * g) != residual:
         raise UnsatisfiableParams("parameters violate the determinant side condition")
-    return Mat2Poly(diag, sigma * f, sigma * g, t - diag)
+    return Mat2Poly(diag, sigma * f, sigma * g, h)
 
 
 def generate(
@@ -403,12 +414,12 @@ def generate(
         if p is not None and p.degree > MAX_GENERATE_DEGREE:
             raise UnsatisfiableParams(f"{name} of degree {p.degree} exceeds the limit {MAX_GENERATE_DEGREE}")
     n = mod.n
-    if rng is None:
-        rng = random.Random(seed)
     fam, d = label.family, label.det
     if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         G = Mat2Poly.from_ints(n, d, 0, 0, d)
     else:
+        if rng is None and (e is None or (fam == DET0_SCALED and f is None and m is None)):
+            rng = random.Random(seed)
         e = _random_poly(rng, n, max_degree) if e is None else e
         g = Poly.constant(n, 1) if g is None else g
         if fam == DET0_SCALED:
@@ -419,6 +430,8 @@ def generate(
             G = _strided_matrix(tpl, e, f, g)
     if not G.is_idempotent():
         raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
+    if any(len(p.coeffs) > MAX_ENTRY_DEGREE + 1 for p in G.entries()):
+        raise InternalTheoremViolation(f"generated entry above the decoder's degree limit {MAX_ENTRY_DEGREE}")
     return G
 
 

@@ -8,6 +8,13 @@ from functools import lru_cache
 from .errors import MatrixFormatError, ModulusMismatch
 from .polyring import Poly
 
+# generate's products are quadratic in the degree; at this bound its worst
+# explicit-parameter call over n near 10**24 takes well under a second.
+MAX_GENERATE_DEGREE = 1000
+# The entries generate solves for (f = e(1-e)/g and the like) reach twice
+# that; the decoder rejects any longer entry before classify multiplies it.
+MAX_ENTRY_DEGREE = 2 * MAX_GENERATE_DEGREE
+
 
 class Mat2Poly:
     """Matrix [[e, f], [g, h]] with entries in Z_n[x], reading order.
@@ -153,6 +160,8 @@ def matrix_to_document(G: Mat2Poly) -> dict:
 def _entry_from_coeffs(n: int, coeffs) -> Poly:
     if not isinstance(coeffs, list):
         raise MatrixFormatError("each entry must be an array of coefficients")
+    if len(coeffs) > MAX_ENTRY_DEGREE + 1:
+        raise MatrixFormatError(f"entry of degree {len(coeffs) - 1} exceeds the limit {MAX_ENTRY_DEGREE}")
     for c in coeffs:
         if not isinstance(c, int) or isinstance(c, bool):
             raise MatrixFormatError("coefficients must be integers")
@@ -160,7 +169,7 @@ def _entry_from_coeffs(n: int, coeffs) -> Poly:
             raise MatrixFormatError(f"coefficient {c} is not canonical in [0, {n})")
     if coeffs and coeffs[-1] == 0:
         raise MatrixFormatError("trailing zero coefficients are forbidden")
-    return Poly(n, coeffs)
+    return Poly._from_canonical(n, coeffs)
 
 
 def matrix_from_document(doc) -> Mat2Poly:

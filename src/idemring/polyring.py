@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ModulusMismatch, NotConstant, PolyParseError
+from .errors import ModulusMismatch, NotConstant, PolyParseError, UnsatisfiableParams
 
 
 class Poly:
@@ -26,6 +26,15 @@ class Poly:
             cs.pop()
         self.n = n
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _from_canonical(cls, n: int, coeffs) -> "Poly":
+        """Poly of coefficients the caller has already checked are canonical
+        (ints in [0, n), no trailing zero); skips __init__'s reduction."""
+        p = object.__new__(cls)
+        p.n = n
+        p.coeffs = tuple(coeffs)
+        return p
 
     @classmethod
     def constant(cls, n: int, c: int) -> "Poly":
@@ -143,11 +152,13 @@ class Poly:
 _TERM = re.compile(r"(?:(\d+)(?:\*?x(?:\^(\d+))?)?|x(?:\^(\d+))?)\Z")
 
 
-def parse_poly(n: int, text: str) -> Poly:
+def parse_poly(n: int, text: str, max_degree: int | None = None) -> Poly:
     """Parse 'c0 + c1*x + c2*x^2' style text; whitespace is ignored.
 
     Bare 'x' and 'x^k' terms (implied coefficient 1), missing terms,
-    repeated powers and leading minus signs are all accepted.
+    repeated powers and leading minus signs are all accepted.  A result of
+    degree above max_degree raises UnsatisfiableParams; the dense
+    coefficient list is built only up to the degree, after that check.
     """
     s = "".join(text.split())
     if not s:
@@ -172,9 +183,13 @@ def parse_poly(n: int, text: str) -> Poly:
         except ValueError as exc:  # a number past the int digit limit
             raise PolyParseError(f"bad term of {len(body)} characters: {exc}") from None
         acc[k] = acc.get(k, 0) + sign * c
-    vec = [0] * (max(acc) + 1)
+    degree = max((k for k, c in acc.items() if c % n), default=-1)
+    if max_degree is not None and degree > max_degree:
+        raise UnsatisfiableParams(f"polynomial of degree {degree} exceeds the limit {max_degree}")
+    vec = [0] * (degree + 1)
     for k, c in acc.items():
-        vec[k] = c
+        if k <= degree:
+            vec[k] = c
     return Poly(n, vec)
 
 

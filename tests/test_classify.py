@@ -38,8 +38,8 @@ from idemring.errors import (
     UnsatisfiableParams,
 )
 from idemring.mat2 import Mat2Poly
-from idemring.modarith import Modulus, factor_squarefree
-from idemring.polyring import Poly
+from idemring.modarith import Modulus, crt_combine, factor_squarefree
+from idemring.polyring import Poly, divide_coeffs
 from idemring.quadcong import trace_candidates
 from idemring.znring import enumerate_idempotents
 
@@ -123,6 +123,94 @@ def test_make_label_wrong_det_pattern(mod385):
         make_label(mod385, DETPAIR_SCALAR, det=155)
     with pytest.raises(UnsatisfiableParams):
         make_label(mod385, DETSINGLE_SHIFT, det=210)
+
+
+def _make_label_by_scan(mod, family, *, det=None, scale=None, swap_mixed_roles=False):
+    """make_label as a CRT and a sorted scan of the whole table on every call."""
+    table = template_table(mod)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    n = mod.n
+    single = family in (DETSINGLE_SCALAR, DETSINGLE_SHIFT)
+    default = crt_combine(list(zip((0, 1, 1) if single else (0, 0, 1), mod.primes)))
+    trace = None
+    if family == DET0_SCALED:
+        det, trace = 0, (default if scale is None else scale) % n
+    elif family == DET0_GENERAL:
+        det = 0
+    else:
+        det = (default if det is None else det) % n
+    labels = sorted(
+        tpl.label
+        for (d, t), tpl in table.items()
+        if tpl.label.family == family and d == det and (trace is None or t == trace)
+    )
+    if not labels:
+        pinned = f"scale {trace}" if family == DET0_SCALED else f"det {det}"
+        raise UnsatisfiableParams(f"no {family} template with {pinned} mod {n}")
+    return labels[-1] if swap_mixed_roles else labels[0]
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except (UnsatisfiableParams, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
+def test_make_label_equals_a_scan_of_the_table(n):
+    mod = factor_squarefree(n)
+    idems = enumerate_idempotents(mod)
+    values = (None, 2, n + 3, *idems, *(-y for y in idems[1:]))
+    for family, value, swap in product(FAMILIES, values, (False, True)):
+        for kw in ({"det": value}, {"scale": value}, {"det": value, "scale": value}):
+            assert _outcome(make_label, mod, family, swap_mixed_roles=swap, **kw) == _outcome(
+                _make_label_by_scan, mod, family, swap_mixed_roles=swap, **kw
+            ), (family, kw, swap)
+
+
+def test_make_label_error_order(mod105, mod385):
+    # the scope guard comes before the family check, which comes before
+    # the unsatisfiable det
+    with pytest.raises(PrimesOutOfScope):
+        make_label(mod105, "no-such-family", det=2)
+    with pytest.raises(ValueError, match="unknown family"):
+        make_label(mod385, "no-such-family", det=2)
+
+
+def test_generate_draws_nothing_when_every_parameter_is_given(monkeypatch):
+    def no_rng(*args, **kw):
+        raise AssertionError("generate seeded a Random it did not draw from")
+
+    # the package's `classify` attribute is the function, not the module
+    monkeypatch.setattr(sys.modules["idemring.classify"].random, "Random", no_rng)
+    for n in (385, 455):
+        mod = factor_squarefree(n)
+        x = Poly.variable(n)
+        for tpl in template_table(mod).values():
+            label = tpl.label
+            params = {}
+            if label.family not in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
+                params = {"e": 3 + x * x, "g": Poly.constant(n, 1)}
+            if label.family == DET0_SCALED:
+                params["m"] = x + 5
+            G = generate(mod, label, seed=0, **params)
+            assert label in classify(G, mod).matches
+
+
+def test_det0_scaled_witness_k_is_the_side_quotient(mod385):
+    # classify reads k off the trace and det; it must equal the quotient
+    # of the template's side condition computed from the entries
+    rng = random.Random(5)
+    for label in (tpl.label for tpl in template_table(mod385).values()):
+        if label.family != DET0_SCALED:
+            continue
+        for degree in range(7):
+            G = generate(mod385, label, rng=rng, max_degree=degree)
+            (wit,) = classify(G, mod385).witnesses
+            e, f, g = wit["e"], wit["f"], wit["g"]
+            assert wit["k"] == divide_coeffs(e * (1 - e) - g * f, label.annihilator)
 
 
 def test_generate_det0_general_frozen(mod385):

@@ -265,6 +265,8 @@ def test_negative_degree_is_coded_error(capsys):
         ["generate", "det0-general", "--n", "385", "--e", "x^100000"],
         ["generate", "detpair-scalar", "--n", "385", "--degree", "1001"],
         ["generate", "det0-scaled", "--n", "385", "--f", "1", "--m", "x^1001"],
+        # parse_poly checks the degree before it builds the dense list
+        ["generate", "det0-general", "--n", "385", "--e", "x^10000000000"],
     ],
 )
 def test_generate_degree_over_limit_is_coded_error(argv):
@@ -285,6 +287,26 @@ def test_generate_at_degree_limit_answers_in_time(argv):
     rc, out, err, wall = run_fresh(*argv, timeout=10)
     assert rc == 0 and err == "" and wall < 2.0
     assert matrix_from_document(json.loads(out)).is_idempotent()
+
+
+def test_classify_rejects_an_entry_above_the_degree_limit(tmp_path):
+    # degree 10^5, about 600 KB: the decoder refuses it before any product
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 385, "entries": [[[7] * 100_001, [1]], [[], [1]]]}))
+    rc, out, err, wall = run_fresh("classify", str(path), timeout=10)
+    assert rc == 1 and out == "" and wall < 2.0
+    assert err.startswith("error: MatrixFormatError:") and "exceeds the limit 2000" in err
+
+
+def test_generate_at_degree_limit_classifies(tmp_path):
+    path = tmp_path / "top.json"
+    e = " + ".join(f"{k % 384 + 1}*x^{k}" for k in range(1001))
+    rc, _, err, _ = run_fresh("generate", "det0-scaled", "--n", "385", "--e", e, "--out", str(path))
+    assert rc == 0 and err == ""
+    assert max(len(cs) for row in json.loads(path.read_text())["entries"] for cs in row) == 2001
+    rc, out, err, _ = run_fresh("classify", str(path))
+    assert rc == 0 and err == ""
+    assert "idempotent: yes" in out and "det0-scaled" in out
 
 
 def _assert_big_solutions(sols, d):

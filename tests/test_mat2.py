@@ -7,6 +7,8 @@ import pytest
 from idemring.classify import generate, iter_constant_idempotent_entries, template_table
 from idemring.errors import MatrixFormatError, ModulusMismatch
 from idemring.mat2 import (
+    MAX_ENTRY_DEGREE,
+    MAX_GENERATE_DEGREE,
     Mat2Poly,
     idempotency_equations_hold,
     load_matrix,
@@ -189,6 +191,38 @@ def test_document_zero_entry_is_empty_array():
 def test_document_rejects_bad_shapes(doc):
     with pytest.raises(MatrixFormatError):
         matrix_from_document(doc)
+
+
+def test_decoded_entry_is_an_ordinary_poly():
+    coeffs = [[3, 0, 384], [], [1], [7, 1]]
+    doc = {"n": N, "entries": [coeffs[:2], coeffs[2:]]}
+    G = matrix_from_document(doc)
+    for entry, cs in zip(G.entries(), coeffs):
+        assert entry == Poly(N, cs) and hash(entry) == hash(Poly(N, cs))
+        assert type(entry.coeffs) is tuple
+    coeffs[0][0] = 5
+    coeffs[0].append(1)
+    assert G.e == Poly(N, (3, 0, 384))
+
+
+def test_document_degree_limit():
+    assert MAX_ENTRY_DEGREE == 2 * MAX_GENERATE_DEGREE
+    top = [1] * (MAX_ENTRY_DEGREE + 1)
+    assert matrix_from_document({"n": N, "entries": [[top, []], [[], []]]}).e.degree == MAX_ENTRY_DEGREE
+    with pytest.raises(MatrixFormatError, match=f"exceeds the limit {MAX_ENTRY_DEGREE}"):
+        matrix_from_document({"n": N, "entries": [[[], []], [[], top + [1]]]})
+
+
+def test_generate_stays_within_the_document_limit():
+    # explicit parameters at generate's limit give the longest entries it
+    # can produce: the solved f = e(1-e)/g has twice e's degree
+    for n in (385, 455):
+        mod = factor_squarefree(n)
+        e = Poly(n, [1] * (MAX_GENERATE_DEGREE + 1))
+        for tpl in template_table(mod).values():
+            G = generate(mod, tpl.label, e=e, m=e, seed=0)
+            assert max(p.degree for p in G.entries()) <= MAX_ENTRY_DEGREE
+            assert matrix_from_document(matrix_to_document(G)) == G
 
 
 def test_load_rejects_bad_json(tmp_path):
