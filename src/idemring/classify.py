@@ -47,9 +47,9 @@ from .errors import (
     PrimesOutOfScope,
     UnsatisfiableParams,
 )
-from .mat2 import MAX_ENTRY_DEGREE, MAX_GENERATE_DEGREE, Mat2Poly
+from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
 from .modarith import Modulus, crt_combine, mod_inverse
-from .polyring import Poly, coeffs_divisible, divide_coeffs
+from .polyring import MAX_GENERATE_DEGREE, Poly, coeffs_divisible, divide_coeffs
 from .znring import enumerate_idempotents
 
 DET0_GENERAL = "det0-general"
@@ -271,9 +271,8 @@ def _match_template(G, tpl):
     if family == DET0_GENERAL:
         return {"e": G.e, "f": G.f, "g": G.g}
     if family == DET0_SCALED:
-        # h = t - e and det(G) = d give e(1-e) - g*f = (1-t)*e + d exactly
-        k = divide_coeffs((1 - tpl.label.trace) * G.e + tpl.label.det, tpl.side)
-        return {"e": G.e, "f": G.f, "g": G.g, "k": k}
+        # G*G = G gives e*e + f*g = e, so the side quotient k of e(1-e) - g*f is zero
+        return {"e": G.e, "f": G.f, "g": G.g, "k": Poly(n, ())}
     if family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         return {}
     e, f, g = (Poly(n, [c // sigma for c in cs]) for cs in (e_off, G.f.coeffs, G.g.coeffs))
@@ -398,12 +397,13 @@ def generate(
 ) -> Mat2Poly:
     """Produce an idempotent matrix that classify() matches to label.
 
-    Free template parameters left as None are drawn from rng (or a fresh
-    Random(seed)); the parameter bound by the side condition is solved per
-    coefficient.  Explicit parameters that violate the side condition and
-    cannot be repaired raise UnsatisfiableParams, and so do a max_degree or
-    an explicit parameter of degree above MAX_GENERATE_DEGREE.  The result
-    is verified idempotent before being returned.
+    Free template parameters left as None are drawn from rng (or a
+    Random(seed), made at the first draw); the parameter bound by the side
+    condition is solved per coefficient.  Explicit parameters that violate
+    the side condition and cannot be repaired raise UnsatisfiableParams,
+    and so do a max_degree or an explicit parameter of degree above
+    MAX_GENERATE_DEGREE.  The result is verified idempotent before being
+    returned.
     """
     tpl = validate_label(mod, label)
     if max_degree < 0:
@@ -414,17 +414,22 @@ def generate(
         if p is not None and p.degree > MAX_GENERATE_DEGREE:
             raise UnsatisfiableParams(f"{name} of degree {p.degree} exceeds the limit {MAX_GENERATE_DEGREE}")
     n = mod.n
+
+    def draw() -> Poly:
+        nonlocal rng
+        if rng is None:
+            rng = random.Random(seed)
+        return _random_poly(rng, n, max_degree)
+
     fam, d = label.family, label.det
     if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         G = Mat2Poly.from_ints(n, d, 0, 0, d)
     else:
-        if rng is None and (e is None or (fam == DET0_SCALED and f is None and m is None)):
-            rng = random.Random(seed)
-        e = _random_poly(rng, n, max_degree) if e is None else e
+        e = draw() if e is None else e
         g = Poly.constant(n, 1) if g is None else g
         if fam == DET0_SCALED:
             if f is None and m is None:
-                m = _random_poly(rng, n, max_degree)
+                m = draw()
             G = _scaled_matrix(tpl, e, f, g, m)
         else:
             G = _strided_matrix(tpl, e, f, g)

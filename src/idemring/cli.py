@@ -38,7 +38,7 @@ from .errors import (
     PrimesOutOfScope,
     WrongPrimeCount,
 )
-from .mat2 import MAX_GENERATE_DEGREE, load_matrix, matrix_to_document, read_matrix, save_matrix
+from .mat2 import load_matrix, matrix_to_document, read_matrix, save_matrix
 from .modarith import Modulus, crt_combine, factor_squarefree
 from .polyring import Poly, parse_poly
 from .quadcong import closed_form_trace_solutions, formula_discrepancy_survey, trace_candidates
@@ -303,7 +303,7 @@ def _cmd_generate(args) -> int:
     for name in ("e", "f", "g", "m"):
         text = getattr(args, name)
         if text is not None:
-            params[name] = parse_poly(mod.n, text, MAX_GENERATE_DEGREE)
+            params[name] = parse_poly(mod.n, text)
     G = generate(mod, label, seed=args.seed, max_degree=args.degree, **params)
     doc = matrix_to_document(G)
     if args.out:

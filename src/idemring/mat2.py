@@ -6,11 +6,8 @@ import json
 from functools import lru_cache
 
 from .errors import MatrixFormatError, ModulusMismatch
-from .polyring import Poly
+from .polyring import MAX_GENERATE_DEGREE, Poly
 
-# generate's products are quadratic in the degree; at this bound its worst
-# explicit-parameter call over n near 10**24 takes well under a second.
-MAX_GENERATE_DEGREE = 1000
 # The entries generate solves for (f = e(1-e)/g and the like) reach twice
 # that; the decoder rejects any longer entry before classify multiplies it.
 MAX_ENTRY_DEGREE = 2 * MAX_GENERATE_DEGREE

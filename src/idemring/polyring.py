@@ -6,6 +6,11 @@ import re
 
 from .errors import ModulusMismatch, NotConstant, PolyParseError, UnsatisfiableParams
 
+# The largest degree parse_poly returns and generate accepts for a parameter;
+# generate's products are quadratic in the degree, and at this bound its worst
+# explicit-parameter call over n near 10**24 takes well under a second.
+MAX_GENERATE_DEGREE = 1000
+
 
 class Poly:
     """Element of Z_n[x].
@@ -152,13 +157,13 @@ class Poly:
 _TERM = re.compile(r"(?:(\d+)(?:\*?x(?:\^(\d+))?)?|x(?:\^(\d+))?)\Z")
 
 
-def parse_poly(n: int, text: str, max_degree: int | None = None) -> Poly:
+def parse_poly(n: int, text: str) -> Poly:
     """Parse 'c0 + c1*x + c2*x^2' style text; whitespace is ignored.
 
     Bare 'x' and 'x^k' terms (implied coefficient 1), missing terms,
     repeated powers and leading minus signs are all accepted.  A result of
-    degree above max_degree raises UnsatisfiableParams; the dense
-    coefficient list is built only up to the degree, after that check.
+    degree above MAX_GENERATE_DEGREE raises UnsatisfiableParams before the
+    dense coefficient list is built.
     """
     s = "".join(text.split())
     if not s:
@@ -184,8 +189,8 @@ def parse_poly(n: int, text: str, max_degree: int | None = None) -> Poly:
             raise PolyParseError(f"bad term of {len(body)} characters: {exc}") from None
         acc[k] = acc.get(k, 0) + sign * c
     degree = max((k for k, c in acc.items() if c % n), default=-1)
-    if max_degree is not None and degree > max_degree:
-        raise UnsatisfiableParams(f"polynomial of degree {degree} exceeds the limit {max_degree}")
+    if degree > MAX_GENERATE_DEGREE:
+        raise UnsatisfiableParams(f"polynomial of degree {degree} exceeds the limit {MAX_GENERATE_DEGREE}")
     vec = [0] * (degree + 1)
     for k, c in acc.items():
         if k <= degree:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idemring.errors import ModulusMismatch, NotConstant, PolyParseError, UnsatisfiableParams
-from idemring.polyring import Poly, coeffs_divisible, divide_coeffs, parse_poly
+from idemring.polyring import MAX_GENERATE_DEGREE, Poly, coeffs_divisible, divide_coeffs, parse_poly
 
 N = 105
 
@@ -131,12 +131,13 @@ def test_parse_rejects_garbage():
 def test_parse_degree_limit_comes_before_the_dense_list():
     # a 10^10-term list would not fit in memory; both calls return at once
     with pytest.raises(UnsatisfiableParams, match="^polynomial of degree 10000000000 exceeds the limit 1000$"):
-        parse_poly(N, "x^10000000000", max_degree=1000)
+        parse_poly(N, "x^10000000000")
     assert parse_poly(N, "x^10000000000 - x^10000000000 + x") == P(0, 1)
     # the limit applies to the reduced degree, as generate's does
-    assert parse_poly(N, f"{N}*x^5000 + x^1000", max_degree=1000) == Poly(N, [0] * 1000 + [1])
+    assert MAX_GENERATE_DEGREE == 1000
+    assert parse_poly(N, f"{N}*x^5000 + x^1000") == Poly(N, [0] * 1000 + [1])
     with pytest.raises(UnsatisfiableParams):
-        parse_poly(N, "x^1001 + 1", max_degree=1000)
+        parse_poly(N, "x^1001 + 1")
 
 
 def test_divisibility_helpers():
