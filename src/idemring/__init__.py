@@ -28,7 +28,6 @@ from .classify import (
     generate,
     iter_constant_idempotent_entries,
     make_label,
-    nontrivial_idempotents,
     validate_label,
 )
 from .mat2 import (
@@ -64,6 +63,7 @@ from .znring import (
     enumerate_idempotents,
     euler_closed_form,
     exponent_variant_check,
+    nontrivial_idempotents,
     pattern_of,
     poly_idempotents_bruteforce,
 )

@@ -50,7 +50,7 @@ from .errors import (
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
 from .modarith import Modulus, crt_combine, mod_inverse
 from .polyring import MAX_GENERATE_DEGREE, Poly, coeffs_divisible, divide_coeffs
-from .znring import enumerate_idempotents
+from .znring import nontrivial_idempotents  # noqa: F401 (re-exported)
 
 DET0_GENERAL = "det0-general"
 DET0_SCALED = "det0-scaled"
@@ -113,10 +113,6 @@ def require_matrix_budget(mod: Modulus, budget: int) -> None:
     """Charge a sweep over the constant matrices of M2(Z_n) its n**3 states."""
     if mod.n**3 > budget:
         raise BudgetExceeded(f"{mod.n}^3 states exceed budget {budget}")
-
-
-def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
-    return tuple(y for y in enumerate_idempotents(mod) if y not in (0, 1))
 
 
 # --- the template table ------------------------------------------------
@@ -343,41 +339,24 @@ def _unit_constant_mod(gpoly: Poly, w: int):
     return g0
 
 
-def _solved_f(target: Poly, gpoly: Poly, factor: int, w: int, n: int) -> Poly:
-    """f with factor * gpoly * f = target (mod w), solved per coefficient."""
-    g0 = _unit_constant_mod(gpoly, w)
-    if g0 is None:
-        raise UnsatisfiableParams(f"g must reduce to a unit constant mod {w} to solve for f")
-    inv = mod_inverse(factor * g0, w)
-    return Poly(n, ((inv * c) % w for c in target.coeffs))
-
-
-def _scaled_matrix(tpl, e, f, g, m):
-    """I * [[e, f], [g, 1-e]] with e(1-e) - g*f divisible by the annihilator."""
-    n, annihilator = tpl.label.modulus, tpl.side
-    h = 1 - e
-    if f is None:
-        f = _solved_f(e * h - annihilator * m, g, 1, n, n)
-    elif not coeffs_divisible(e * h - g * f, annihilator):
-        raise UnsatisfiableParams(f"e(1-e) - g*f must be divisible by the annihilator {annihilator}")
-    scale = tpl.label.scale
-    return Mat2Poly(scale * e, scale * f, scale * g, scale * h)
-
-
 def _strided_matrix(tpl, e, f, g):
     """[[u + stride*e, stride*f], [stride*g, t - u - stride*e]] with det d.
 
     The det condition leaves a residual divisible by the stride; f solves
     stride * g * f = residual / stride modulo the side divisor.
     """
-    n, d, t, sigma = tpl.label.modulus, tpl.label.det, tpl.label.trace, tpl.stride
+    n, d, t, sigma, side = tpl.label.modulus, tpl.label.det, tpl.label.trace, tpl.stride, tpl.side
     diag = tpl.offset + sigma * e
     h = t - diag
     residual = diag * h - d
     if not coeffs_divisible(residual, sigma):
         raise InternalTheoremViolation("template residual not divisible by the stride")
     if f is None:
-        f = _solved_f(divide_coeffs(residual, sigma), g, sigma, tpl.side, n)
+        g0 = _unit_constant_mod(g, side)
+        if g0 is None:
+            raise UnsatisfiableParams(f"g must reduce to a unit constant mod {side} to solve for f")
+        inv = mod_inverse(sigma * g0, side)
+        f = Poly(n, ((inv * c) % side for c in divide_coeffs(residual, sigma).coeffs))
     elif sigma * sigma * (f * g) != residual:
         raise UnsatisfiableParams("parameters violate the determinant side condition")
     return Mat2Poly(diag, sigma * f, sigma * g, h)
@@ -404,6 +383,10 @@ def generate(
     and so do a max_degree or an explicit parameter of degree above
     MAX_GENERATE_DEGREE.  The result is verified idempotent before being
     returned.
+
+    m, the multiplier det0-scaled once solved f with, is still accepted
+    but only has its degree checked: it entered the matrix as I * J * m,
+    and I * J = 0 (mod n), so it never changed a matrix.
     """
     tpl = validate_label(mod, label)
     if max_degree < 0:
@@ -428,11 +411,12 @@ def generate(
         e = draw() if e is None else e
         g = Poly.constant(n, 1) if g is None else g
         if fam == DET0_SCALED:
-            if f is None and m is None:
-                m = draw()
-            G = _scaled_matrix(tpl, e, f, g, m)
-        else:
-            G = _strided_matrix(tpl, e, f, g)
+            # I * [[e, f], [g, 1-e]] is the strided matrix of k*e, k*f, k*g:
+            # stride * k = I exactly, and stride * k = 1 (mod J)
+            k = label.scale // tpl.stride
+            e, g = k * e, k * g
+            f = None if f is None else k * f
+        G = _strided_matrix(tpl, e, f, g)
     if not G.is_idempotent():
         raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
     if any(len(p.coeffs) > MAX_ENTRY_DEGREE + 1 for p in G.entries()):

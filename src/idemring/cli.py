@@ -19,6 +19,9 @@ from math import prod
 
 from .classify import (
     DEFAULT_MATRIX_BUDGET,
+    DET0_GENERAL,
+    DET0_SCALED,
+    DETPAIR_MIXED,
     FAMILIES,
     classify,
     completeness_check,
@@ -26,7 +29,6 @@ from .classify import (
     generate,
     iter_constant_idempotent_entries,
     make_label,
-    nontrivial_idempotents,
     require_matrix_budget,
 )
 from .errors import (
@@ -36,6 +38,7 @@ from .errors import (
     MatrixFormatError,
     PolyParseError,
     PrimesOutOfScope,
+    UnsatisfiableParams,
     WrongPrimeCount,
 )
 from .mat2 import load_matrix, matrix_to_document, read_matrix, save_matrix
@@ -47,6 +50,7 @@ from .znring import (
     enumerate_idempotents,
     euler_closed_form,
     exponent_variant_check,
+    nontrivial_idempotents,
     poly_idempotents_bruteforce,
 )
 
@@ -299,8 +303,15 @@ def _cmd_generate(args) -> int:
         scale=args.scale,
         swap_mixed_roles=args.swap_roles,
     )
+    for flag, given, read in (
+        ("--det", args.det is not None, args.family not in (DET0_GENERAL, DET0_SCALED)),
+        ("--scale", args.scale is not None, args.family == DET0_SCALED),
+        ("--swap-roles", args.swap_roles, args.family == DETPAIR_MIXED),
+    ):
+        if given and not read:
+            raise UnsatisfiableParams(f"{args.family} does not read {flag}")
     params = {}
-    for name in ("e", "f", "g", "m"):
+    for name in ("e", "f", "g"):
         text = getattr(args, name)
         if text is not None:
             params[name] = parse_poly(mod.n, text)
@@ -470,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", default=None, help="polynomial, e.g. '3 + 2*x + x^2'")
     p.add_argument("--f", default=None)
     p.add_argument("--g", default=None)
-    p.add_argument("--m", default=None, help="annihilator multiplier for det0-scaled")
     p.add_argument("--out", default=None, help="write the matrix document here")
     p.set_defaults(func=_cmd_generate)
 

@@ -8,7 +8,7 @@ from operator import mul
 
 from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
 from .modarith import Modulus, mod_inverse, mod_pow
-from .znring import enumerate_idempotents, pattern_of
+from .znring import nontrivial_idempotents, pattern_of
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
@@ -216,8 +216,4 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
 
 def formula_discrepancy_survey(mod: Modulus) -> list[FormulaReport]:
     """Closed-form check reports for all six nontrivial idempotent determinants."""
-    return [
-        closed_form_trace_solutions(mod, d)
-        for d in enumerate_idempotents(mod)
-        if d not in (0, 1)
-    ]
+    return [closed_form_trace_solutions(mod, d) for d in nontrivial_idempotents(mod)]

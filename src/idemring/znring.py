@@ -26,6 +26,11 @@ def enumerate_idempotents(mod: Modulus) -> tuple[int, ...]:
     return tuple(sorted(sols))
 
 
+def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
+    """The idempotents of Z_n other than 0 and 1, ascending."""
+    return tuple(y for y in enumerate_idempotents(mod) if y not in (0, 1))
+
+
 def pattern_of(mod: Modulus, y: int) -> tuple[int, ...]:
     """Per-prime residue pattern of an idempotent y, one bit per prime."""
     y %= mod.n

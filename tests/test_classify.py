@@ -3,7 +3,7 @@ import random
 import sys
 from collections import Counter
 from itertools import product
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -278,13 +278,93 @@ def test_classify_modulus_mismatch(mod385):
         classify(Mat2Poly.identity(455), mod385)
 
 
-def test_generate_accepts_recovered_witnesses(mod385):
+def test_generate_accepts_recovered_witnesses():
     # feeding a matrix's recovered witnesses back in reproduces it exactly
-    lab = make_label(mod385, DETPAIR_SHIFT)
-    G = generate(mod385, lab, e=Poly.variable(385))
-    wit = classify(G, mod385).witnesses[0]
-    G2 = generate(mod385, lab, e=wit["e"], f=wit["f"], g=wit["g"])
-    assert G2 == G
+    for n in (385, 455, 1001, 5 * 7 * 10007):
+        mod = factor_squarefree(n)
+        rng = random.Random(n)
+        for label in (tpl.label for tpl in template_table(mod).values()):
+            for degree in range(6):
+                G = generate(mod, label, rng=rng, max_degree=degree)
+                (wit,) = classify(G, mod).witnesses
+                params = {key: wit[key] for key in ("e", "f", "g") if key in wit}
+                assert generate(mod, label, **params) == G, (n, label, degree)
+
+
+def _naive_mul(a, b, n):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % n
+    return out
+
+
+def _naive_sub(a, b, n):
+    size = max(len(a), len(b))
+    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % n for i in range(size)]
+
+
+def _naive_scaled(scale, polys, n):
+    """scale * each coefficient list, reduced mod n with trailing zeros dropped."""
+    out = []
+    for cs in polys:
+        cs = [scale * c % n for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
+        out.append(tuple(cs))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
+def test_det0_scaled_is_the_scaled_det0_matrix(n):
+    # generate builds det0-scaled by the strided formula; the reference is
+    # the literal I * [[e, f], [g, 1-e]] with f = g^-1 * e(1-e) (mod J)
+    mod = factor_squarefree(n)
+    rng = random.Random(n)
+    solved = accepted = rejected = 0
+    for label in (tpl.label for tpl in template_table(mod).values()):
+        if label.family != DET0_SCALED:
+            continue
+        scale, J = label.scale, label.annihilator
+        for degree in range(7):
+            e = [rng.randrange(n) for _ in range(degree)] + [rng.randrange(1, n)]
+            h = _naive_sub([1], e, n)
+            eh = _naive_mul(e, h, n)
+            g0 = rng.randrange(1, n)
+            while gcd(g0, J) != 1:
+                g0 = rng.randrange(1, n)
+            # g need only reduce to the unit constant g0 mod J
+            g = _naive_sub([g0], [J * rng.randrange(n) for _ in range(3)], n)
+            f = [pow(g0, -1, J) * c % J for c in eh]
+            G = generate(mod, label, e=Poly(n, e), g=Poly(n, g))
+            assert tuple(p.coeffs for p in G.entries()) == _naive_scaled(scale, (e, f, g, h), n)
+            solved += 1
+            # an explicit f and any g: accepted exactly when J | e(1-e) - g*f
+            for f, g in (
+                (_naive_sub(f, [J * rng.randrange(n) for _ in range(2 * degree + 1)], n), g),
+                ([rng.randrange(n) for _ in range(2 * degree + 1)], [rng.randrange(n) for _ in range(3)]),
+            ):
+                if all(c % J == 0 for c in _naive_sub(eh, _naive_mul(g, f, n), n)):
+                    G = generate(mod, label, e=Poly(n, e), f=Poly(n, f), g=Poly(n, g))
+                    assert tuple(p.coeffs for p in G.entries()) == _naive_scaled(scale, (e, f, g, h), n)
+                    accepted += 1
+                else:
+                    with pytest.raises(UnsatisfiableParams):
+                        generate(mod, label, e=Poly(n, e), f=Poly(n, f), g=Poly(n, g))
+                    rejected += 1
+    assert solved == 42 and accepted >= 42 and rejected > 0
+
+
+def test_det0_scaled_g_need_only_be_a_unit_mod_the_annihilator(mod385):
+    label = make_label(mod385, DET0_SCALED, scale=210)
+    assert label.annihilator == 11
+    x = Poly.variable(385)
+    # 5 is a unit mod 11 but not mod 385
+    G = generate(mod385, label, e=x, g=Poly.constant(385, 5))
+    assert classify(G, mod385).matches == [label]
+    for g in (Poly.constant(385, 11), Poly.constant(385, 22), 1 + x):
+        with pytest.raises(UnsatisfiableParams, match="unit constant mod 11"):
+            generate(mod385, label, e=x, g=g)
 
 
 def test_mixed_role_swap_distinct(mod385):

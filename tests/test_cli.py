@@ -158,6 +158,42 @@ def test_generate_bad_poly_is_usage_error(capsys):
     assert err.startswith("error: PolyParseError: bad term of 5000 characters: ")
 
 
+@pytest.mark.parametrize(
+    "family, pin",
+    [
+        ("det0-general", ["--det", "5"]),
+        ("det0-general", ["--det", "0"]),
+        ("det0-scaled", ["--det", "0"]),
+        *((family, ["--scale", "155"]) for family in (
+            "det0-general", "detpair-scalar", "detpair-shift", "detpair-mixed",
+            "detsingle-scalar", "detsingle-shift",
+        )),
+        *((family, ["--swap-roles"]) for family in (
+            "det0-general", "det0-scaled", "detpair-scalar", "detpair-shift",
+            "detsingle-scalar", "detsingle-shift",
+        )),
+    ],
+)
+def test_generate_rejects_a_pin_its_family_does_not_read(capsys, family, pin):
+    rc, out, err = run(capsys, "generate", family, "--n", "385", *pin)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: UnsatisfiableParams: {family} does not read {pin[0]}")
+
+
+def test_generate_pins_reach_the_label(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    rc, out, _ = run(capsys, "generate", "det0-scaled", "--n", "385", "--scale", "155", "--out", str(path))
+    assert rc == 0
+    assert "label: det0-scaled roles (5, 7, 11) det 0 trace 155 scale 155 annihilator 77" in out
+    rc, out, _ = run(
+        capsys, "generate", "detpair-mixed", "--n", "385", "--det", "210", "--swap-roles", "--out", str(path)
+    )
+    assert rc == 0
+    assert "label: detpair-mixed roles (7, 5, 11) det 210 trace 266 offset 56" in out
+    rc, out, _ = run(capsys, "classify", str(path))
+    assert rc == 0 and "detpair-mixed roles (7, 5, 11)" in out
+
+
 def test_classify_out_of_scope(capsys, tmp_path):
     path = tmp_path / "m105.json"
     path.write_text(json.dumps({"n": 105, "entries": [[[1], []], [[], [1]]]}))
@@ -264,7 +300,7 @@ def test_negative_degree_is_coded_error(capsys):
         ["generate", "det0-general", "--n", "385", "--degree", "100000"],
         ["generate", "det0-general", "--n", "385", "--e", "x^100000"],
         ["generate", "detpair-scalar", "--n", "385", "--degree", "1001"],
-        ["generate", "det0-scaled", "--n", "385", "--f", "1", "--m", "x^1001"],
+        ["generate", "det0-scaled", "--n", "385", "--f", "1", "--g", "x^1001"],
         # parse_poly checks the degree before it builds the dense list
         ["generate", "det0-general", "--n", "385", "--e", "x^10000000000"],
     ],
