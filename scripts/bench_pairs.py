@@ -10,9 +10,9 @@ one at a time; odd seeds run the parent first, even seeds the change.  S is
 the `run_seconds` of the checkouts' BENCHMARK.json, which must agree.  The
 summary (the `env`, `command` and `end_to_end` parts of a BENCH_<k>.json)
 goes to stdout, and to FILE with --out; nothing else is written.  Per
-workload it lists each run's verdict count and raw verdict time and
-whether the two sides' median verdict counts differ, and per metric each
-side's quartiles (statistics.quantiles, inclusive method) and every run,
+workload it lists each run's verdict and item counts and raw verdict time
+and whether the two sides' median verdict counts differ, and per metric
+each side's quartiles (statistics.quantiles, inclusive method) and every run,
 the number of pairs in which the change read lower, the ratio of the
 medians, and two verdicts against BENCHMARK.json: within_bound (the change
 median is no worse than the parent's by more than the metric's bound) and
@@ -69,11 +69,12 @@ def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]], rules:
     """runs maps each side to its (info, result) pairs, in seed order, and
     rules each metric to its BENCHMARK.json entry (better, bound).
 
-    Each run's verdict count and raw verdict time come from its info line,
-    so a peak_rss_mb move can be told apart from a change in how many
-    verdicts the run held; verdict_counts_differ flags sides whose median
-    verdict counts differ.  Per metric, within_bound says the change median
-    is no worse than the parent's by more than the bound, and
+    Each run's verdict and item counts and raw verdict time come from its
+    info line, so a peak_rss_mb move can be told apart from a change in how
+    many verdicts the run held, and a run that ran out of inputs before its
+    time was up shows in its item count; verdict_counts_differ flags sides
+    whose median verdict counts differ.  Per metric, within_bound says the
+    change median is no worse than the parent's by more than the bound, and
     meets_claim_rule that the change is better in at least 9/10 of the
     pairs and its median beats the parent's by more than the parent's IQR.
     """
@@ -83,6 +84,7 @@ def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]], rules:
         "seeds": seeds,
         "pairs": len(seeds),
         "verdicts": verdicts,
+        "items": {side: [info["items"] for info, _ in runs[side]] for side in SIDES},
         "verdict_counts_differ": statistics.median(verdicts["parent"]) != statistics.median(verdicts["change"]),
         "raw_verdict_s": {
             side: [round(info["raw"]["verdict_s"], 6) for info, _ in runs[side]] for side in SIDES
@@ -133,7 +135,7 @@ def main() -> None:
                 metrics = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
                 print(
                     f"{workload} seed {seed} {side}: failed={result['failed']} "
-                    f"verdicts={info['verdicts']} {metrics}",
+                    f"verdicts={info['verdicts']} items={info['items']} {metrics}",
                     file=sys.stderr,
                 )
         end_to_end[workload] = summarize(args.seeds, runs, rules)

@@ -54,7 +54,6 @@ from .quadcong import (
     TraceCandidateSet,
     closed_form_trace_solutions,
     formula_discrepancy_survey,
-    prime_quadratic_roots,
     trace_candidates,
 )
 from .znring import (

@@ -9,23 +9,46 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from math import gcd, isqrt, prod
+from itertools import chain, cycle
+from math import gcd, prod
 
 from .errors import ModuliNotCoprime, ModulusTooSmall, NotCoprime, NotFactorable, NotSquarefree
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# MILLER_RABIN_LIMIT, the least strong pseudoprime to all of them
+# (Sorenson & Webster 2015).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(k: int) -> bool:
-    """Deterministic trial-division primality test for desk-scale k."""
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    Exact for k < MILLER_RABIN_LIMIT, O(log k) multiplications per base;
+    a larger k raises NotFactorable.
+    """
+    if k >= MILLER_RABIN_LIMIT:
+        raise NotFactorable(f"{k} is beyond the deterministic Miller-Rabin limit {MILLER_RABIN_LIMIT}")
     if k < 2:
         return False
-    if k % 2 == 0:
-        return k == 2
-    d = 3
-    top = isqrt(k)
-    while d <= top:
-        if k % d == 0:
+    for a in MILLER_RABIN_BASES:
+        if k % a == 0:
+            return k == a
+    odd, s = k - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, odd, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -57,9 +80,11 @@ class Modulus(namedtuple("Modulus", "n primes")):
 def factor_squarefree(n: int) -> Modulus:
     """Factor n by trial division, insisting every prime appears exactly once.
 
-    Raises ModulusTooSmall for n < 2, NotSquarefree on a repeated prime
-    factor and NotFactorable when a cofactor larger than 10**12 survives
-    trial division up to 10**6 (such a cofactor cannot be certified prime).
+    Trial division runs over 2, 3 and then 6k - 1, 6k + 1 up to 10**6; a
+    cofactor left above 10**12 is certified prime by is_prime.  Raises
+    ModulusTooSmall for n < 2, NotSquarefree on a repeated prime factor and
+    NotFactorable when that cofactor is composite (it has no factor up to
+    10**6, and finding one is not attempted) or beyond is_prime's limit.
     """
     if n < 2:
         raise ModulusTooSmall(f"n must be at least 2, got {n}")
@@ -67,21 +92,23 @@ def factor_squarefree(n: int) -> Modulus:
     primes = []
     rem = n
     d = 2
+    steps = chain((1, 2), cycle((2, 4)))  # 2, 3, 5, 7, 11, 13, ...
     while d <= bound and d * d <= rem:
         if rem % d == 0:
             rem //= d
             if rem % d == 0:
                 raise NotSquarefree(f"{d}^2 divides {n}")
             primes.append(d)
-        d = 3 if d == 2 else d + 2
+        d += next(steps)
     if rem > 1:
-        if rem > bound * bound:
+        if rem > bound * bound and not is_prime(rem):
             raise NotFactorable(f"cofactor {rem} of {n} exceeds {bound}^2")
         primes.append(rem)
-    # _make skips Modulus's checks, which would re-run trial division:
+    # _make skips Modulus's checks, which would test every prime again:
     # each d found is the least factor of rem, hence prime, and a final rem
     # is prime because the loop stopped at d*d > rem, or at d > bound with
-    # no factor up to bound and rem <= bound**2.  Modulus(...) still checks.
+    # no factor up to bound and rem <= bound**2, or is_prime said so.
+    # Modulus(...) still checks.
     return Modulus._make((n, tuple(primes)))
 
 

@@ -11,72 +11,26 @@ from .modarith import Modulus, mod_inverse, mod_pow
 from .znring import nontrivial_idempotents, pattern_of
 
 
-def _sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None for a non-residue.
-
-    Tonelli-Shanks (Shanks 1973): O(log p + s^2) multiplications, where 2^s
-    is the largest power of 2 dividing p - 1.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    half = (p - 1) // 2
-    if pow(a, half, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 1, t * t % p
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def prime_quadratic_roots(p: int, c: int) -> tuple[int, ...]:
-    """All x in [0, p) with x^2 = x + c (mod p) for a prime p, ascending.
-
-    For odd p the roots are (1 +- r) / 2 with r a square root of the
-    discriminant 1 + 4c, so the cost is O(log p); modulo 2, x^2 - x is
-    always 0.  Every root is checked in x^2 - x - c before it is returned.
-    """
-    c %= p
-    if p == 2:
-        roots = (0, 1) if c == 0 else ()
-    else:
-        r = _sqrt_mod(1 + 4 * c, p)
-        inv2 = (p + 1) // 2
-        roots = () if r is None else tuple(sorted({(1 + r) * inv2 % p, (1 - r) * inv2 % p}))
-    for x in roots:
-        if (x * x - x - c) % p:
-            raise InternalTheoremViolation(f"{x} fails x^2 = x + {c} (mod {p})")
-    return roots
-
-
 TraceCandidateSet = namedtuple("TraceCandidateSet", "modulus det solutions")
 
 
 def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
     """All t in [0, n) with t^2 = t + 2d (mod n) for an idempotent d.
 
-    Solved per prime through the discriminant and recombined over every
-    choice of per-prime root through the CRT basis e_p = (n/p)*((n/p)^-1 mod p),
-    which is 1 mod p and 0 mod every other prime.
+    An idempotent d is 0 or 1 mod each prime p, so t^2 - t - 2d factors
+    mod p as t(t - 1) or (t - 2)(t + 1): the roots are 0, 1 or 2, -1, read
+    off d mod p in O(1).  They are recombined over every choice of
+    per-prime root through the CRT basis e_p = (n/p)*((n/p)^-1 mod p),
+    which is 1 mod p and 0 mod every other prime, and every solution is
+    checked.  The sum is reduced mod n and collected in a set, so the roots
+    need no reduction mod p: 2, -1 are 0, 1 mod 2, and mod 3 they coincide
+    (a double root).
     """
     n = mod.n
     d %= n
     if (d * d - d) % n:
         raise NotIdempotentDet(f"{d} is not idempotent mod {n}")
-    per_prime = [prime_quadratic_roots(p, 2 * d) for p in mod.primes]
+    per_prime = [(0, 1) if d % p == 0 else (2, -1) for p in mod.primes]
     basis = [n // p * mod_inverse(n // p, p) for p in mod.primes]
     sols = {sum(map(mul, combo, basis)) % n for combo in product(*per_prime)}
     out = TraceCandidateSet(n, d, tuple(sorted(sols)))
@@ -205,11 +159,15 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
         pivot = "pair"
     cands = trace_candidates(mod, d)
     sol_set = set(cands.solutions)
+    # three primes, so each entry's residues and root flags are spelled out:
+    # v mod p is a root exactly when p divides v^2 - v - 2d
+    p1, p2, p3 = mod.primes
     entries = []
     for text, raw in exprs:
         v = raw % n
-        residues = tuple(v % p for p in mod.primes)
-        flags = tuple((r * r - r - 2 * d) % p == 0 for r, p in zip(residues, mod.primes))
+        w = v * v - v - 2 * d
+        residues = (v % p1, v % p2, v % p3)
+        flags = (w % p1 == 0, w % p2 == 0, w % p3 == 0)
         entries.append(FormulaEntry(text, v, residues, flags, v in sol_set))
     return FormulaReport(n, mod.primes, d, pivot, congruence, cands.solutions, entries)
 

@@ -12,8 +12,8 @@ RULES = {
 }
 
 
-def _run(verdicts, raw_verdict_s, verdict_s, rss, failed=0):
-    info = {"verdicts": verdicts, "raw": {"verdict_s": raw_verdict_s}}
+def _run(verdicts, raw_verdict_s, verdict_s, rss, failed=0, items=100):
+    info = {"verdicts": verdicts, "items": items, "raw": {"verdict_s": raw_verdict_s}}
     result = {
         "correct": failed == 0,
         "attempted": 100,
@@ -29,11 +29,17 @@ def _run(verdicts, raw_verdict_s, verdict_s, rss, failed=0):
 def test_summarize_keeps_each_runs_verdict_count_and_raw_time():
     runs = {
         "parent": [_run(1, 15.2, 13.8, 45.2), _run(1, 14.9, 13.6, 45.0), _run(1, 15.0, 13.7, 45.1)],
-        "change": [_run(1, 10.0, 10.1, 45.1), _run(2, 7.1, 7.0, 61.0), _run(1, 10.2, 10.0, 45.3, failed=2)],
+        # the last run's inputs ran out early: it holds fewer items
+        "change": [
+            _run(1, 10.0, 10.1, 45.1),
+            _run(2, 7.1, 7.0, 61.0),
+            _run(1, 10.2, 10.0, 45.3, failed=2, items=64),
+        ],
     }
     out = bench_pairs.summarize([1, 2, 3], runs, RULES)
     assert out["pairs"] == 3
     assert out["verdicts"] == {"parent": [1, 1, 1], "change": [1, 2, 1]}
+    assert out["items"] == {"parent": [100, 100, 100], "change": [100, 100, 64]}
     assert out["raw_verdict_s"] == {"parent": [15.2, 14.9, 15.0], "change": [10.0, 7.1, 10.2]}
     assert out["failed"] == {"parent": 0, "change": 2}
     assert out["attempted"] == {"parent": 300, "change": 300}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,51 @@ def test_factor_unresolved_cofactor():
     # 1000003 * 1000033 has no factor up to the trial bound 10**6 and exceeds 10**12
     with pytest.raises(NotFactorable, match=r"exceeds 1000000\^2"):
         factor_squarefree(1000003 * 1000033)
+
+
+def test_factor_certifies_a_prime_cofactor_above_the_trial_bound():
+    # 10**16 + 61 survives trial division to 10**6 and is certified by is_prime
+    assert factor_squarefree(35 * (10**16 + 61)).primes == (5, 7, 10**16 + 61)
+
+
+def test_is_prime_equals_sympy_below_200000():
+    isprime = pytest.importorskip("sympy").isprime
+    assert [k for k in range(200_000) if is_prime(k)] == [k for k in range(200_000) if isprime(k)]
+
+
+@pytest.mark.parametrize(
+    "k",
+    # strong pseudoprimes to the first 4, 9-11 and 12 prime bases
+    [3215031751, 3825123056546413051, 318665857834031151167461],
+)
+def test_is_prime_rejects_strong_pseudoprimes(k):
+    assert pytest.importorskip("sympy").isprime(k) is False
+    assert is_prime(k) is False
+
+
+@settings(max_examples=300)
+@given(st.integers(0, modarith.MILLER_RABIN_LIMIT - 1))
+def test_is_prime_equals_sympy_below_the_limit(k):
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(k) == sympy.isprime(k)
+    # a random k is rarely prime, so check the next prime above it too
+    q = sympy.nextprime(k)
+    if q < modarith.MILLER_RABIN_LIMIT:
+        assert is_prime(q)
+
+
+def test_is_prime_refuses_beyond_the_limit():
+    assert is_prime(modarith.MILLER_RABIN_LIMIT - 1) is False  # even
+    with pytest.raises(NotFactorable):
+        is_prime(modarith.MILLER_RABIN_LIMIT)
+
+
+def test_modulus_with_a_16_digit_prime_is_fast():
+    p = 10**16 + 61
+    start = time.perf_counter()
+    mod = Modulus(5 * 7 * p, (5, 7, p))
+    assert time.perf_counter() - start < 0.05
+    assert mod.primes == (5, 7, p)
 
 
 def test_modulus_validation():

@@ -155,6 +155,26 @@ SOLVE_TRACE_JSON_DIGESTS = {
         200110: "bb455b49259aa317", 280155: "c140d4c0e4765d69", 420231: "8956f3d7967faa1b",
         500276: "6e95b02f0ff9e8e3", 620341: "024415580f4c8649",
     },
+    # recorded while the solver still took Tonelli-Shanks square roots per
+    # prime: primes 2 and 3 (a double root at 3), and a 12-digit prime
+    30: {
+        0: "07134dd19f922b20", 1: "9fab8d5132d95dc6", 6: "fabb921ffb90491d",
+        10: "0f90cdf1dd605ea5", 15: "73dd4ebaf42571b3", 16: "e743ac3d24645323",
+        21: "790923e960d0186f", 25: "c3ad3f07bd8430c9",
+    },
+    70: {
+        0: "6ee8572008ed48d4", 1: "134a895e2c3a70b8", 15: "628abd5cd17bc653",
+        21: "2d7fbafdcb5d27db", 35: "5a117e7e815232da", 36: "dfdc7b46071242df",
+        50: "156252b7233c776c", 56: "b3d6eb58aa228ca7",
+    },
+    105: {
+        0: "a577e2844ba78fb3", 1: "0e2450bb980c0990", 15: "0329e3b71754d33d",
+        21: "15429919338ffb1a", 36: "a03bb8554fc8576f", 70: "8d858bcd11ea448f",
+        85: "79ed50a5c2f9bb5f", 91: "d6d099378a6c6aba",
+    },
+    35 * 999999999989: {
+        0: "c24b42bc9d6f351b", 1: "37890ed0453261d1", 4999999999946: "4bf46370c857ddbd",
+    },
 }
 JSON_DIGESTS = {
     **{

@@ -1,55 +1,51 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import scan_prime_roots, scan_trace_solutions
 
 from idemring.errors import NotIdempotentDet, NotSquarefree, WrongPrimeCount
 from idemring.modarith import Modulus, factor_squarefree, is_prime
-from idemring.quadcong import (
-    closed_form_trace_solutions,
-    formula_discrepancy_survey,
-    prime_quadratic_roots,
-    trace_candidates,
-)
+from idemring.quadcong import closed_form_trace_solutions, formula_discrepancy_survey, trace_candidates
 from idemring.znring import enumerate_idempotents
 
 
+def prime_roots(p, d):
+    """The roots of t^2 = t + 2d modulo the prime p, through the solver."""
+    return trace_candidates(factor_squarefree(p), d).solutions
+
+
 def test_prime_roots_examples():
-    assert prime_quadratic_roots(5, 2) == (2, 4)
-    assert prime_quadratic_roots(7, 0) == (0, 1)
-    assert prime_quadratic_roots(11, 2) == (2, 10)
+    assert prime_roots(5, 1) == (2, 4)
+    assert prime_roots(7, 0) == (0, 1)
+    assert prime_roots(11, 1) == (2, 10)
 
 
 def test_prime_roots_double_root_at_3():
-    # x^2 = x + 2 has the single root 2 mod 3 (2 and -1 coincide)
-    assert prime_quadratic_roots(3, 2) == (2,)
+    # t^2 = t + 2 has the single root 2 mod 3 (2 and -1 coincide)
+    assert prime_roots(3, 1) == (2,)
 
 
 def test_prime_roots_equal_scan_below_300():
+    # d is 0 or 1 mod a prime: the roots read off d are the scan's, p = 2, 3 included
     for p in filter(is_prime, range(300)):
-        for c in range(p):
-            assert prime_quadratic_roots(p, c) == scan_prime_roots(p, c), (p, c)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    p=st.sampled_from([2, 3, 5, 7, 13, 17, 97, 193, 257, 641, 7681, 12289]),
-    c=st.integers(min_value=-(10**30), max_value=10**30),
-)
-def test_prime_roots_large_c(p, c):
-    assert prime_quadratic_roots(p, c) == scan_prime_roots(p, c)
+        for d in (0, 1):
+            assert prime_roots(p, d) == scan_prime_roots(p, 2 * d), (p, d)
 
 
 @pytest.mark.parametrize("p", [65537, 998244353, 10000000019])
 def test_prime_roots_match_sympy_large_p(p):
-    # 2^16 | 65536 and 2^23 | 998244352 exercise the Tonelli-Shanks loop;
-    # c = -1/4 makes the discriminant 0, a double root
-    sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
-    inv2 = (p + 1) // 2
-    for c in (0, 1, 2, 3, p - 1, p // 2, pow(-4, -1, p), 12345, 10**9 + 7, 2**40 + 3):
-        disc = (1 + 4 * c) % p
-        expect = tuple(sorted({(1 + r) * inv2 % p for r in sqrt_mod(disc, p, all_roots=True)}))
-        assert prime_quadratic_roots(p, c) == expect, (p, c)
+    # at n = 35p the solver's solutions are the CRT of sympy's per-prime
+    # roots (1 + r)/2, r^2 = 1 + 8d, for every idempotent d
+    ntheory = pytest.importorskip("sympy.ntheory")
+    crt = pytest.importorskip("sympy.ntheory.modular").crt
+    mod = factor_squarefree(35 * p)
+    for d in enumerate_idempotents(mod):
+        per_prime = [
+            sorted({(1 + r) * ((q + 1) // 2) % q for r in ntheory.sqrt_mod(1 + 8 * d, q, all_roots=True)})
+            for q in mod.primes
+        ]
+        expect = sorted(int(crt(mod.primes, combo)[0]) for combo in product(*per_prime))
+        assert list(trace_candidates(mod, d).solutions) == expect, d
 
 
 def test_trace_candidates_105(mod105):
@@ -79,13 +75,14 @@ def test_solver_equals_scan_small_moduli():
 
 
 def test_solver_equals_scan_sweep_1500():
-    # every squarefree n <= 1500 with exactly three prime factors
+    # every squarefree n <= 1500 with exactly three prime factors, and every
+    # other squarefree n <= 500 (primes 2 and 3 included)
     for n in range(2, 1501):
         try:
             mod = factor_squarefree(n)
         except NotSquarefree:
             continue
-        if mod.m != 3:
+        if mod.m != 3 and n > 500:
             continue
         for d in enumerate_idempotents(mod):
             assert list(trace_candidates(mod, d).solutions) == scan_trace_solutions(n, d)
@@ -100,7 +97,7 @@ def test_cardinality_eight_above_three(mod385, mod455):
 def test_cardinality_drops_with_prime_3(mod105):
     # d = 85 is 1 mod 3, so the double root halves the count twice over
     assert len(trace_candidates(mod105, 85).solutions) == 4
-    counts = [len(prime_quadratic_roots(p, 2 * 85)) for p in mod105.primes]
+    counts = [len(scan_prime_roots(p, 2 * 85)) for p in mod105.primes]
     assert counts == [1, 2, 2]
 
 
