@@ -58,6 +58,7 @@ from .quadcong import (
 )
 from .znring import (
     DEFAULT_POLY_BUDGET,
+    MAX_ENUMERATED_PRIMES,
     ExponentVariantRow,
     enumerate_idempotents,
     euler_closed_form,

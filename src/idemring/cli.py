@@ -4,6 +4,8 @@ Verbs: idempotents, solve-trace, classify, generate, oracle, verify.
 Exit codes: 0 success, 1 domain error (printed on stderr as
 ``error: <CODE>: <message>``), 2 usage error.  All numeric output is
 decimal, space separated and ascending; ``--json`` mirrors the same data.
+When argv[0] is a verb, its arguments are parsed by that verb's subparser
+alone; the top-level parser runs only otherwise (see ``parse_args``).
 """
 
 from __future__ import annotations
@@ -360,7 +362,8 @@ def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, st
         ("idempotent-count", len(idems) == 2**mod.m, f"{len(idems)} = 2^{mod.m}")
     )
     defining = all((y * y - y) % n == 0 for y in idems)
-    closed = all((1 - y) % n in idems for y in idems)
+    members = set(idems)
+    closed = all((1 - y) % n in members for y in idems)
     checks.append(
         ("idempotent-closure", defining and closed, "y^2 = y holds and 1-y stays inside")
     )
@@ -446,8 +449,24 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(checks) else 1
 
 
-@cache
+def _budget(text: str) -> int:
+    """--budget's type: an int, and a negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
+    return _parser_tree()[0]
+
+
+@cache
+def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the map from each verb to its subparser."""
     parser = argparse.ArgumentParser(
         prog="idemring",
         description="Idempotents of Z_n, Z_n[x] and the 2x2 matrix ring over Z_n[x].",
@@ -487,23 +506,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="enumerate all constant idempotent matrices")
     p.add_argument("n", type=int)
     p.add_argument(
-        "--budget", type=int, default=DEFAULT_MATRIX_BUDGET, help="cap on brute-force states (n^3)"
+        "--budget", type=_budget, default=DEFAULT_MATRIX_BUDGET, help="cap on brute-force states (n^3)"
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run the invariant suite for a modulus")
     p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, default=None, help="cap on brute-force states")
+    p.add_argument("--budget", type=_budget, default=None, help="cap on brute-force states")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv): the same Namespace, exits, help and usage text.
+
+    When argv[0] is exactly a verb, that verb's subparser parses argv[1:]
+    alone, instead of after a top-level scan of all of argv.  The top-level
+    parser runs for any other argv[0] and when the subparser leaves
+    arguments over, so every error is still written by the parser that
+    wrote it before.
+    """
+    parser, verbs = _parser_tree()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = verbs.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         rc = args.func(args)
     except InternalTheoremViolation:

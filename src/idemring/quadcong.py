@@ -8,7 +8,7 @@ from operator import mul
 
 from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
 from .modarith import Modulus, mod_inverse, mod_pow
-from .znring import nontrivial_idempotents, pattern_of
+from .znring import nontrivial_idempotents, pattern_of, require_enumerable
 
 
 TraceCandidateSet = namedtuple("TraceCandidateSet", "modulus det solutions")
@@ -24,12 +24,14 @@ def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
     which is 1 mod p and 0 mod every other prime, and every solution is
     checked.  The sum is reduced mod n and collected in a set, so the roots
     need no reduction mod p: 2, -1 are 0, 1 mod 2, and mod 3 they coincide
-    (a double root).
+    (a double root).  More than MAX_ENUMERATED_PRIMES primes raise
+    BudgetExceeded before the 2**m combinations start.
     """
     n = mod.n
     d %= n
     if (d * d - d) % n:
         raise NotIdempotentDet(f"{d} is not idempotent mod {n}")
+    require_enumerable(mod)
     per_prime = [(0, 1) if d % p == 0 else (2, -1) for p in mod.primes]
     basis = [n // p * mod_inverse(n // p, p) for p in mod.primes]
     sols = {sum(map(mul, combo, basis)) % n for combo in product(*per_prime)}

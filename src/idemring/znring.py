@@ -12,14 +12,29 @@ from .polyring import Poly
 
 DEFAULT_POLY_BUDGET = 2_000_000
 
+# Most prime factors m whose 2**m idempotents or trace solutions are
+# enumerated.  The slowest call it admits, `idempotents` at m = 16, took
+# 1.0-1.4 s (2 vCPU, Python 3.11.7); each further prime doubles the work.
+MAX_ENUMERATED_PRIMES = 16
+
+
+def require_enumerable(mod: Modulus) -> None:
+    """Raise BudgetExceeded when mod has more than MAX_ENUMERATED_PRIMES primes."""
+    if mod.m > MAX_ENUMERATED_PRIMES:
+        raise BudgetExceeded(
+            f"2^{mod.m} CRT combinations over {mod.m} primes exceed the limit 2^{MAX_ENUMERATED_PRIMES}"
+        )
+
 
 @lru_cache(maxsize=None)
 def enumerate_idempotents(mod: Modulus) -> tuple[int, ...]:
     """All 2**m solutions of y*y = y (mod n), ascending.
 
     Each solution is the CRT combination of a choice of 0 or 1 at every
-    prime factor, so the count is exactly 2**m.
+    prime factor, so the count is exactly 2**m; more than
+    MAX_ENUMERATED_PRIMES primes raise BudgetExceeded before any is made.
     """
+    require_enumerable(mod)
     sols = []
     for bits in product((0, 1), repeat=mod.m):
         sols.append(crt_combine(list(zip(bits, mod.primes))))

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idemring
-from idemring.cli import _dumps, main
+from idemring.cli import _dumps, build_parser, main, parse_args
 from idemring.mat2 import Mat2Poly, matrix_from_document
+from idemring.modarith import is_prime
 
 # 5 * 7 * 10000000019: the prime cofactor is too large for any scan of Z_p
 BIG_N = 350000000665
@@ -114,6 +117,21 @@ def test_oracle_budget(capsys):
     rc, _, err = run(capsys, "oracle", "1001", "--budget", "1000")
     assert rc == 1
     assert err.startswith("error: BudgetExceeded:")
+
+
+@pytest.mark.parametrize("verb", ["oracle", "verify"])
+def test_negative_budget_is_usage_error(capsys, verb):
+    # a negative budget used to make verify skip every scan and report a pass
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "385", "--budget", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"idemring {verb}: error: argument --budget: must be >= 0, got -5\n")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "385", "--budget", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --budget: invalid int value: 'x'\n")
 
 
 def test_generate_writes_document(capsys, tmp_path):
@@ -372,6 +390,118 @@ def test_verify_large_prime_factor_is_bounded():
     lines = out.splitlines()
     assert any(l.startswith("ok   poly-scan: skipped: BudgetExceeded: ") for l in lines)
     assert lines[-1] == "verify: 7/7 checks passed"
+
+
+def _first_primes_above_3(count):
+    primes, k = [], 5
+    while len(primes) < count:
+        if is_prime(k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+# 5 * 7 * ... * 181: 2^40 idempotents, and trial division factors it at once
+FORTY_PRIMES_N = prod(_first_primes_above_3(40))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["idempotents", str(FORTY_PRIMES_N)], ["verify", str(FORTY_PRIMES_N)], ["solve-trace", str(FORTY_PRIMES_N), "1"]],
+)
+def test_many_primes_exceed_the_enumeration_limit(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1 and out == ""
+    assert err == "error: BudgetExceeded: 2^40 CRT combinations over 40 primes exceed the limit 2^16\n"
+
+
+def test_verify_at_fourteen_primes_answers_in_time(capsys):
+    # the complement-closure check looks each 1 - y up in a set, not the 2^14-tuple
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify", str(prod(_first_primes_above_3(14))))
+    assert time.perf_counter() - start < 1.5
+    assert rc == 0 and err == ""
+    assert "ok   idempotent-closure: y^2 = y holds and 1-y stays inside" in out.splitlines()
+
+
+def _parse_outcome(parse, argv):
+    """(Namespace or ("exit", code), stdout, stderr) of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_like_argparse(argv):
+    assert _parse_outcome(parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+_VERBS = ["idempotents", "solve-trace", "classify", "generate", "oracle", "verify"]
+_EDGE_ARGV = [
+    [],
+    ["-h"],
+    ["--he"],
+    ["--json=1"],
+    ["--", "solve-trace", "105", "36"],
+    ["solve"],
+    ["bogus", "105"],
+    ["solve-trace", "105", "36"],
+    ["solve-trace", "105", "36", "extra"],
+    ["solve-trace", "105", "36", "--he"],
+    ["solve-trace", "-h", "105"],
+    ["solve-trace", "105", "-36"],
+    ["solve-trace", "105"],
+    ["solve-trace", "105", "x"],
+    ["solve-trace", "105", "36", "--js"],
+    ["solve-trace", "105", "36", "--json=1"],
+    ["solve-trace", "--json", "105", "36"],
+    ["solve-trace", "105", "--", "36"],
+    ["solve-trace", "105", "36", "--", "--json"],
+    ["solve-trace", "105", "36", "-x"],
+    ["idempotents", "105", "--json", "--json"],
+    ["idempotents"],
+    ["classify", "-", "--json"],
+    ["generate", "det0-general", "--n", "385", "--e", "-x"],
+    ["generate", "det0-general", "--n", "385", "--e=-x"],
+    ["generate", "det0-general", "--n", "385", "--s", "5"],
+    ["generate", "bogus", "--n", "385"],
+    ["generate", "det0-general"],
+    ["oracle", "385", "--budget", "-5"],
+    ["oracle", "385", "--b", "10", "--json"],
+    ["verify", "385", "--budget"],
+    ["verify", "385", "--budget", "x", "--n", "3"],
+]
+_TOKEN = st.sampled_from(
+    [*_VERBS, "solve", "bogus", "--", "-h", "--he", "--json", "--js", "--json=1", "--budget", "--n", "--e", "-x", "word"]
+) | st.integers(-40, 400).map(str)
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGV, ids=" ".join)
+def test_parse_args_matches_argparse_on_edge_argv(argv):
+    _assert_parses_like_argparse(argv)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(_TOKEN, max_size=6)
+    | st.builds(lambda verb, rest: [verb, *rest], st.sampled_from(_VERBS), st.lists(_TOKEN, max_size=5))
+)
+def test_parse_args_matches_argparse(argv):
+    # the same Namespace (verb included), or the same exit code, stdout and stderr
+    _assert_parses_like_argparse(argv)
+
+
+def test_a_verb_argv_skips_the_top_level_parser(monkeypatch):
+    calls = []
+    monkeypatch.setattr(build_parser(), "parse_known_args", lambda *a, **k: calls.append(a))
+    args = parse_args(["solve-trace", "105", "36", "--json"])
+    assert calls == []
+    assert (args.verb, args.n, args.d, args.json) == ("solve-trace", 105, 36, True)
 
 
 def test_parser_reuse_matches_fresh_interpreter(capsys, tmp_path):

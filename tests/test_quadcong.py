@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 from oracles import scan_prime_roots, scan_trace_solutions
 
-from idemring.errors import NotIdempotentDet, NotSquarefree, WrongPrimeCount
+from idemring import znring
+from idemring.errors import BudgetExceeded, NotIdempotentDet, NotSquarefree, WrongPrimeCount
 from idemring.modarith import Modulus, factor_squarefree, is_prime
 from idemring.quadcong import closed_form_trace_solutions, formula_discrepancy_survey, trace_candidates
 from idemring.znring import enumerate_idempotents
@@ -65,6 +66,16 @@ def test_trace_candidates_385_contains_expected(mod385):
 def test_trace_candidates_not_idempotent(mod105):
     with pytest.raises(NotIdempotentDet):
         trace_candidates(mod105, 37)
+
+
+def test_trace_candidates_enumeration_limit(monkeypatch):
+    monkeypatch.setattr(znring, "MAX_ENUMERATED_PRIMES", 4)
+    assert len(trace_candidates(factor_squarefree(5 * 7 * 11 * 13), 1).solutions) == 16
+    with pytest.raises(BudgetExceeded):
+        trace_candidates(factor_squarefree(5 * 7 * 11 * 13 * 17), 1)
+    # an idempotency failure is still reported first
+    with pytest.raises(NotIdempotentDet):
+        trace_candidates(factor_squarefree(5 * 7 * 11 * 13 * 17), 2)
 
 
 def test_solver_equals_scan_small_moduli():
