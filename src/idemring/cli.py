@@ -4,13 +4,17 @@ Verbs: idempotents, solve-trace, classify, generate, oracle, verify.
 Exit codes: 0 success, 1 domain error (printed on stderr as
 ``error: <CODE>: <message>``), 2 usage error.  All numeric output is
 decimal, space separated and ascending; ``--json`` mirrors the same data.
-When argv[0] is a verb, its arguments are parsed by that verb's subparser
-alone; the top-level parser runs only otherwise (see ``parse_args``).
+Every verb's arguments are written down once, in the table ``_GRAMMAR``.
+An argv that is plainly well formed (argv[0] a verb, then exact option
+names, their values and the positionals, each value valid) is read straight
+off that table, and argparse is never imported.  Any other argv (help,
+``--``, an abbreviation, a negative number, a bad value) imports argparse,
+whose parsers are built from the same table, and it parses the whole argv,
+so every help text and usage error is argparse's own (see ``parse_args``).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import Counter
@@ -18,6 +22,7 @@ from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import prod
+from types import SimpleNamespace
 
 from .classify import (
     DEFAULT_MATRIX_BUDGET,
@@ -57,7 +62,8 @@ from .znring import (
 )
 
 
-# Largest n for which verify cross-checks by scanning all of [0, n).
+# Largest n for which verify cross-checks by scanning all of [0, n); a
+# given --budget must also cover each scan's states (n, and n * 2^m).
 SCAN_LIMIT = 1_000_000
 
 
@@ -351,6 +357,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _charge(states: int, budget: int | None) -> None:
+    """Raise BudgetExceeded when a given --budget does not cover a scan of states."""
+    if budget is not None and states > budget:
+        raise BudgetExceeded(f"{states} scan states exceed budget {budget}")
+
+
 def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, str]]:
     matrix_budget = budget if budget is not None else DEFAULT_MATRIX_BUDGET
     poly_budget = budget if budget is not None else DEFAULT_POLY_BUDGET
@@ -368,8 +380,13 @@ def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, st
         ("idempotent-closure", defining and closed, "y^2 = y holds and 1-y stays inside")
     )
     if n <= SCAN_LIMIT:
-        scan = tuple(y for y in range(n) if (y * y - y) % n == 0)
-        checks.append(("full-scan", scan == idems, f"scan found {len(scan)} idempotents"))
+        try:
+            _charge(n, budget)
+        except BudgetExceeded as exc:
+            checks.append(("full-scan", True, f"skipped: {exc.code}: {exc}"))
+        else:
+            scan = tuple(y for y in range(n) if (y * y - y) % n == 0)
+            checks.append(("full-scan", scan == idems, f"scan found {len(scan)} idempotents"))
     if mod.m == 3:
         ok = all(row[-1] for row in _closed_form_cross_check(mod))
         variants = exponent_variant_check(mod)
@@ -378,12 +395,17 @@ def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, st
             ("closed-form-crt", ok, f"8 patterns match; exponent variants agree {agree}/2")
         )
     if n <= SCAN_LIMIT:
-        solver_ok = True
-        for d in idems:
-            sols = set(trace_candidates(mod, d).solutions)
-            scan = {t for t in range(n) if (t * t - t - 2 * d) % n == 0}
-            solver_ok = solver_ok and sols == scan
-        checks.append(("trace-solver-scan", solver_ok, f"{len(idems)} determinants checked"))
+        try:
+            _charge(len(idems) * n, budget)
+        except BudgetExceeded as exc:
+            checks.append(("trace-solver-scan", True, f"skipped: {exc.code}: {exc}"))
+        else:
+            solver_ok = True
+            for d in idems:
+                sols = set(trace_candidates(mod, d).solutions)
+                scan = {t for t in range(n) if (t * t - t - 2 * d) % n == 0}
+                solver_ok = solver_ok and sols == scan
+            checks.append(("trace-solver-scan", solver_ok, f"{len(idems)} determinants checked"))
     if mod.m == 3:
         bad = 0
         for d in nontrivial_idempotents(mod):
@@ -454,91 +476,194 @@ def _budget(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+        message = f"invalid int value: {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = f"must be >= 0, got {value}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser_tree()[0]
+_FLAG = {"action": "store_true"}
+
+# verb -> (help, handler, arguments).  An argument is its name ("n" is a
+# positional, "--json" an option) and the keywords of argparse's
+# add_argument.  _parser_tree builds argparse's parsers from this table and
+# _recognize reads it directly, so the grammar is written down once.
+_GRAMMAR = {
+    "idempotents": (
+        "enumerate the idempotents of Z_n",
+        _cmd_idempotents,
+        (("n", {"type": int}), ("--json", _FLAG)),
+    ),
+    "solve-trace": (
+        "solve t^2 = t + 2d (mod n)",
+        _cmd_solve_trace,
+        (("n", {"type": int}), ("d", {"type": int}), ("--json", _FLAG)),
+    ),
+    "classify": (
+        "classify a matrix from a file ('-' for stdin)",
+        _cmd_classify,
+        (("file", {}), ("--json", _FLAG)),
+    ),
+    "generate": (
+        "generate an idempotent matrix in a class",
+        _cmd_generate,
+        (
+            ("family", {"choices": FAMILIES}),
+            ("--n", {"type": int, "required": True}),
+            ("--det", {"type": int}),
+            ("--scale", {"type": int, "help": "scale I for det0-scaled"}),
+            ("--swap-roles", {**_FLAG, "help": "swap the zero-pattern roles of detpair-mixed"}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--degree", {"type": int, "default": 2, "help": "max degree of random parameters"}),
+            ("--e", {"help": "polynomial, e.g. '3 + 2*x + x^2'"}),
+            ("--f", {}),
+            ("--g", {}),
+            ("--out", {"help": "write the matrix document here"}),
+        ),
+    ),
+    "oracle": (
+        "enumerate all constant idempotent matrices",
+        _cmd_oracle,
+        (
+            ("n", {"type": int}),
+            (
+                "--budget",
+                {"type": _budget, "default": DEFAULT_MATRIX_BUDGET, "help": "cap on brute-force states (n^3)"},
+            ),
+            ("--json", _FLAG),
+        ),
+    ),
+    "verify": (
+        "run the invariant suite for a modulus",
+        _cmd_verify,
+        (
+            ("n", {"type": int}),
+            ("--budget", {"type": _budget, "help": "cap on brute-force states"}),
+            ("--json", _FLAG),
+        ),
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser behind parse_args, built on the first call."""
+    return _parser_tree()
 
 
 @cache
-def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the map from each verb to its subparser."""
+def _parser_tree():
+    """The top-level argparse parser, with one subparser per verb of _GRAMMAR."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="idemring",
         description="Idempotents of Z_n, Z_n[x] and the 2x2 matrix ring over Z_n[x].",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("idempotents", help="enumerate the idempotents of Z_n")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_idempotents)
-
-    p = sub.add_parser("solve-trace", help="solve t^2 = t + 2d (mod n)")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_solve_trace)
-
-    p = sub.add_parser("classify", help="classify a matrix from a file ('-' for stdin)")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("generate", help="generate an idempotent matrix in a class")
-    p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--det", type=int, default=None)
-    p.add_argument("--scale", type=int, default=None, help="scale I for det0-scaled")
-    p.add_argument("--swap-roles", action="store_true", help="swap the zero-pattern roles of detpair-mixed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=2, help="max degree of random parameters")
-    p.add_argument("--e", default=None, help="polynomial, e.g. '3 + 2*x + x^2'")
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--out", default=None, help="write the matrix document here")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("oracle", help="enumerate all constant idempotent matrices")
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--budget", type=_budget, default=DEFAULT_MATRIX_BUDGET, help="cap on brute-force states (n^3)"
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("verify", help="run the invariant suite for a modulus")
-    p.add_argument("n", type=int)
-    p.add_argument("--budget", type=_budget, default=None, help="cap on brute-force states")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    return parser, sub.choices
+    for verb, (text, handler, arguments) in _GRAMMAR.items():
+        p = sub.add_parser(verb, help=text)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(func=handler)
+    return parser
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """build_parser().parse_args(argv): the same Namespace, exits, help and usage text.
+@cache
+def _syntax(verb: str) -> tuple[list, dict, dict, frozenset]:
+    """(positionals, options, defaults, required) of verb, read off _GRAMMAR.
 
-    When argv[0] is exactly a verb, that verb's subparser parses argv[1:]
-    alone, instead of after a top-level scan of all of argv.  The top-level
-    parser runs for any other argv[0] and when the subparser leaves
-    arguments over, so every error is still written by the parser that
-    wrote it before.
+    positionals lists (dest, spec) in order and options maps each option
+    name to (dest, spec); defaults holds verb, func and every dest's
+    default, and required the dests that must be given.  A dest is
+    argparse's: the name without its leading dashes, '-' read as '_'.
     """
-    parser, verbs = _parser_tree()
+    _, handler, arguments = _GRAMMAR[verb]
+    positionals, options = [], {}
+    defaults = {"verb": verb, "func": handler}
+    required = set()
+    for name, spec in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        defaults[dest] = False if spec.get("action") == "store_true" else spec.get("default")
+        if name.startswith("-"):
+            options[name] = (dest, spec)
+            if spec.get("required"):
+                required.add(dest)
+        else:
+            positionals.append((dest, spec))
+            required.add(dest)
+    return positionals, options, defaults, frozenset(required)
+
+
+def _recognize(argv):
+    """What build_parser().parse_args(argv) returns, when argv is plainly well formed; else None.
+
+    argv[0] must be a verb, and each later token one of that verb's option
+    names, a value option's value (the next token, which must not start
+    with '-', or the text after '=' in '--name=value') or the next
+    positional.  Every value must convert with its type and lie in its
+    choices, and every positional and required option must be given.  Any
+    other argv (help, '--', an abbreviation, a negative number, a lone '-',
+    a bad value, a missing or extra argument) returns None.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    positionals, options, defaults, required = _syntax(argv[0])
+    values = dict(defaults)
+    given = set()
+    waiting = iter(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, text = token.partition("=")
+            if name not in options:
+                return None
+            dest, spec = options[name]
+            if spec.get("action") == "store_true":
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("-"):
+                    return None
+        else:
+            dest, spec = next(waiting, (None, None))
+            if dest is None:
+                return None
+            text = token
+        convert = spec.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except Exception:  # argparse converts it again and reports the failure
+            return None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        given.add(dest)
+    if not required <= given:
+        return None
+    return SimpleNamespace(**values)
+
+
+def parse_args(argv=None):
+    """build_parser().parse_args(argv): the same attributes, exits, help and usage text.
+
+    A plainly well-formed argv is read by _recognize from the grammar table,
+    without argparse.  Any other argv is parsed by argparse, imported then,
+    so every help text and usage error is argparse's own.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    sub = verbs.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            args.verb = argv[0]
-            return args
-    return parser.parse_args(argv)
+    args = _recognize(argv)
+    if args is None:
+        args = _parser_tree().parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idemring
+from idemring import cli
 from idemring.cli import _dumps, build_parser, main, parse_args
 from idemring.mat2 import Mat2Poly, matrix_from_document
 from idemring.modarith import is_prime
@@ -417,6 +418,17 @@ def test_many_primes_exceed_the_enumeration_limit(capsys, argv):
     assert err == "error: BudgetExceeded: 2^40 CRT combinations over 40 primes exceed the limit 2^16\n"
 
 
+def test_verify_budget_covers_the_range_scans(capsys):
+    # full-scan (n states) and trace-solver-scan (n * 2^7) once ignored it: 13.7 s
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify", "510510", "--budget", "0")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert "ok   full-scan: skipped: BudgetExceeded: 510510 scan states exceed budget 0" in lines
+    assert "ok   trace-solver-scan: skipped: BudgetExceeded: 65345280 scan states exceed budget 0" in lines
+
+
 def test_verify_at_fourteen_primes_answers_in_time(capsys):
     # the complement-closure check looks each 1 - y up in a set, not the 2^14-tuple
     start = time.perf_counter()
@@ -427,11 +439,15 @@ def test_verify_at_fourteen_primes_answers_in_time(capsys):
 
 
 def _parse_outcome(parse, argv):
-    """(Namespace or ("exit", code), stdout, stderr) of one parse of argv."""
+    """(the parsed attributes or ("exit", code), stdout, stderr) of one parse of argv.
+
+    Attributes are compared as vars(), which is what argparse's
+    Namespace.__eq__ compares, so a result of another type can match.
+    """
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            result = parse(argv)
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -475,9 +491,22 @@ _EDGE_ARGV = [
     ["oracle", "385", "--b", "10", "--json"],
     ["verify", "385", "--budget"],
     ["verify", "385", "--budget", "x", "--n", "3"],
+    ["oracle", "385", "--budget=5"],
+    ["verify", "385", "--budget", "00"],
+    ["generate", "det0-general", "--n=385", "--swap-roles=1"],
+    ["generate", "det0-general", "--n", "385", "--n", "455"],
+    ["generate", "det0-general", "--n", "385", "--det", "-5"],
+    ["solve-trace", " 105", "36"],
+    ["solve-trace", "1_05", "36"],
+    ["solve-trace", "105", "36", "--json", "--json"],
+    ["idempotents", "-105"],
 ]
 _TOKEN = st.sampled_from(
-    [*_VERBS, "solve", "bogus", "--", "-h", "--he", "--json", "--js", "--json=1", "--budget", "--n", "--e", "-x", "word"]
+    [
+        *_VERBS, "solve", "bogus", "--", "-", "", "-h", "--he", "--json", "--js", "--json=1",
+        "--budget", "--budget=5", "--n", "--n=385", "--det", "--swap-roles", "--e", "--e=-x", "-x",
+        "det0-general", "word",
+    ]
 ) | st.integers(-40, 400).map(str)
 
 
@@ -496,12 +525,71 @@ def test_parse_args_matches_argparse(argv):
     _assert_parses_like_argparse(argv)
 
 
+# one well-formed argv per verb
+_PLAIN_ARGV = [
+    ["idempotents", "105", "--json"],
+    ["solve-trace", "105", "36"],
+    ["classify", "m.json", "--json"],
+    ["generate", "detpair-mixed", "--n=385", "--seed", "5", "--swap-roles", "--e", "x"],
+    ["oracle", "5", "--budget=1000"],
+    ["verify", "--json", "105", "--budget", "100000"],
+]
+
+
 def test_a_verb_argv_skips_the_top_level_parser(monkeypatch):
-    calls = []
-    monkeypatch.setattr(build_parser(), "parse_known_args", lambda *a, **k: calls.append(a))
-    args = parse_args(["solve-trace", "105", "36", "--json"])
-    assert calls == []
-    assert (args.verb, args.n, args.d, args.json) == ("solve-trace", 105, 36, True)
+    expected = [vars(build_parser().parse_args(argv)) for argv in _PLAIN_ARGV]
+
+    def refuse():
+        raise AssertionError("a well-formed argv reached argparse")
+
+    monkeypatch.setattr(cli, "_parser_tree", refuse)
+    assert [vars(parse_args(argv)) for argv in _PLAIN_ARGV] == expected
+
+
+_COLD_START = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import idemring, idemring.cli
+from idemring.cli import main
+
+argv_list, bad = json.loads(sys.argv[1])
+codes = []
+with redirect_stdout(io.StringIO()):
+    for argv in argv_list:
+        codes.append(main(argv))
+loaded = sorted(m for m in ("argparse", "gettext") if m in sys.modules)
+exits = []
+for argv in (["-h"], bad):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            exits.append([exc.code, out.getvalue(), err.getvalue()])
+print(json.dumps([codes, loaded, exits]))
+"""
+
+
+def test_well_formed_argv_never_imports_argparse(monkeypatch, tmp_path):
+    # a fresh interpreter runs one plain argv per verb without loading
+    # argparse (or the gettext it imports); help and usage errors still
+    # come from argparse, with its exit code and text
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "m.json").write_text(json.dumps({"n": 385, "entries": [[[155], []], [[], [155]]]}))
+    bad = ["solve-trace", "105"]
+    src = str(Path(idemring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps([_PLAIN_ARGV, bad])],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60, check=True,
+    )
+    codes, loaded, exits = json.loads(proc.stdout)
+    assert codes == [0] * len(_PLAIN_ARGV)
+    assert loaded == []
+    want = [_parse_outcome(build_parser().parse_args, argv) for argv in (["-h"], bad)]
+    assert [[code, out, err] for (_, code), out, err in want] == exits
+    assert [code for code, _, _ in exits] == [0, 2]
 
 
 def test_parser_reuse_matches_fresh_interpreter(capsys, tmp_path):
