@@ -47,30 +47,21 @@ from .errors import (
     PrimesOutOfScope,
     UnsatisfiableParams,
 )
+from .families import (
+    DEFAULT_MATRIX_BUDGET,
+    DET0_GENERAL,
+    DET0_SCALED,
+    DETPAIR_MIXED,
+    DETPAIR_SCALAR,
+    DETPAIR_SHIFT,
+    DETSINGLE_SCALAR,
+    DETSINGLE_SHIFT,
+    FAMILIES,
+)
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
 from .modarith import Modulus, crt_combine, mod_inverse
 from .polyring import MAX_GENERATE_DEGREE, Poly, coeffs_divisible, divide_coeffs
 from .znring import nontrivial_idempotents  # noqa: F401 (re-exported)
-
-DET0_GENERAL = "det0-general"
-DET0_SCALED = "det0-scaled"
-DETPAIR_SCALAR = "detpair-scalar"
-DETPAIR_SHIFT = "detpair-shift"
-DETPAIR_MIXED = "detpair-mixed"
-DETSINGLE_SCALAR = "detsingle-scalar"
-DETSINGLE_SHIFT = "detsingle-shift"
-
-FAMILIES = (
-    DET0_GENERAL,
-    DET0_SCALED,
-    DETPAIR_SCALAR,
-    DETPAIR_SHIFT,
-    DETPAIR_MIXED,
-    DETSINGLE_SCALAR,
-    DETSINGLE_SHIFT,
-)
-
-DEFAULT_MATRIX_BUDGET = 125_000_000  # n**3 states, i.e. n <= 500
 
 
 class ClassLabel(

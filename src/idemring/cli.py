@@ -11,60 +11,35 @@ off that table, and argparse is never imported.  Any other argv (help,
 ``--``, an abbreviation, a negative number, a bad value) imports argparse,
 whose parsers are built from the same table, and it parses the whole argv,
 so every help text and usage error is argparse's own (see ``parse_args``).
+Importing this module loads only errors, families, modarith, znring and
+quadcong: each verb's handler imports the classifier, the matrix and
+polynomial rings or the verify battery when it runs, so idempotents and
+solve-trace never load them.  ``_dumps`` takes the C string encoder that
+json.encoder uses straight from ``_json``, so ``--json`` output does not
+load json either.
 """
 
-from __future__ import annotations
-
-import json
 import sys
 from collections import Counter
 from functools import cache
-from itertools import product
-from json.encoder import encode_basestring_ascii
-from math import prod
 from types import SimpleNamespace
 
-from .classify import (
-    DEFAULT_MATRIX_BUDGET,
-    DET0_GENERAL,
-    DET0_SCALED,
-    DETPAIR_MIXED,
-    FAMILIES,
-    classify,
-    completeness_check,
-    expected_trace_values,
-    generate,
-    iter_constant_idempotent_entries,
-    make_label,
-    require_matrix_budget,
-)
+try:
+    from _json import encode_basestring_ascii  # the C encoder json.encoder itself uses
+except ImportError:  # an interpreter without json's accelerator module
+    from json.encoder import encode_basestring_ascii
+
 from .errors import (
-    BudgetExceeded,
     IdemringError,
     InternalTheoremViolation,
     MatrixFormatError,
     PolyParseError,
-    PrimesOutOfScope,
     UnsatisfiableParams,
-    WrongPrimeCount,
 )
-from .mat2 import load_matrix, matrix_to_document, read_matrix, save_matrix
-from .modarith import Modulus, crt_combine, factor_squarefree
-from .polyring import Poly, parse_poly
+from .families import DEFAULT_MATRIX_BUDGET, DET0_GENERAL, DET0_SCALED, DETPAIR_MIXED, FAMILIES
+from .modarith import Modulus, factor_squarefree
 from .quadcong import closed_form_trace_solutions, formula_discrepancy_survey, trace_candidates
-from .znring import (
-    DEFAULT_POLY_BUDGET,
-    enumerate_idempotents,
-    euler_closed_form,
-    exponent_variant_check,
-    nontrivial_idempotents,
-    poly_idempotents_bruteforce,
-)
-
-
-# Largest n for which verify cross-checks by scanning all of [0, n); a
-# given --budget must also cover each scan's states (n, and n * 2^m).
-SCAN_LIMIT = 1_000_000
+from .znring import closed_form_cross_check, enumerate_idempotents, exponent_variant_check
 
 
 def _header(mod: Modulus) -> str:
@@ -72,6 +47,8 @@ def _header(mod: Modulus) -> str:
 
 
 def _witness_json(wit: dict) -> dict:
+    from .polyring import Poly
+
     out = {}
     for key, value in wit.items():
         out[key] = list(value.coeffs) if isinstance(value, Poly) else value
@@ -168,23 +145,13 @@ def report_files(mod: Modulus, completeness) -> dict[str, str]:
     return files
 
 
-def _closed_form_cross_check(mod: Modulus) -> list[tuple]:
-    """(pattern, CRT value, formula text, formula value, agree) for the 8 patterns."""
-    rows = []
-    for pat in product((0, 1), repeat=3):
-        value, text = euler_closed_form(mod, pat)
-        via_crt = crt_combine(list(zip(pat, mod.primes)))
-        rows.append((pat, via_crt, text, value, value == via_crt))
-    return rows
-
-
 def _cmd_idempotents(args) -> int:
     mod = factor_squarefree(args.n)
     idems = enumerate_idempotents(mod)
     cross = []
     variants = []
     if mod.m == 3:
-        cross = _closed_form_cross_check(mod)
+        cross = closed_form_cross_check(mod)
         variants = exponent_variant_check(mod)
     if args.json:
         doc = {
@@ -256,6 +223,8 @@ def _cmd_solve_trace(args) -> int:
 
 
 def _read_matrix(path):
+    from .mat2 import load_matrix, read_matrix
+
     if path == "-":
         return read_matrix(sys.stdin)
     try:
@@ -265,6 +234,10 @@ def _read_matrix(path):
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify
+    from .mat2 import matrix_to_document
+    from .polyring import Poly
+
     G = _read_matrix(args.file)
     mod = factor_squarefree(G.n)
     rep = classify(G, mod)
@@ -303,6 +276,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .classify import generate, make_label
+    from .mat2 import matrix_to_document, save_matrix
+    from .polyring import parse_poly
+
     mod = factor_squarefree(args.n)
     label = make_label(
         mod,
@@ -332,11 +309,15 @@ def _cmd_generate(args) -> int:
         print(f"matrix: {G.render()}")
         print(f"wrote {args.out}")
     else:
+        import json
+
         print(json.dumps(doc, sort_keys=True))
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    from .classify import iter_constant_idempotent_entries, require_matrix_budget
+
     mod = factor_squarefree(args.n)
     require_matrix_budget(mod, args.budget)
     n = mod.n
@@ -357,102 +338,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _charge(states: int, budget: int | None) -> None:
-    """Raise BudgetExceeded when a given --budget does not cover a scan of states."""
-    if budget is not None and states > budget:
-        raise BudgetExceeded(f"{states} scan states exceed budget {budget}")
-
-
-def _verify_checks(mod: Modulus, budget: int | None) -> list[tuple[str, bool, str]]:
-    matrix_budget = budget if budget is not None else DEFAULT_MATRIX_BUDGET
-    poly_budget = budget if budget is not None else DEFAULT_POLY_BUDGET
-    n = mod.n
-    checks: list[tuple[str, bool, str]] = []
-    idems = enumerate_idempotents(mod)
-    checks.append(("factorization", prod(mod.primes) == n, str(mod)))
-    checks.append(
-        ("idempotent-count", len(idems) == 2**mod.m, f"{len(idems)} = 2^{mod.m}")
-    )
-    defining = all((y * y - y) % n == 0 for y in idems)
-    members = set(idems)
-    closed = all((1 - y) % n in members for y in idems)
-    checks.append(
-        ("idempotent-closure", defining and closed, "y^2 = y holds and 1-y stays inside")
-    )
-    if n <= SCAN_LIMIT:
-        try:
-            _charge(n, budget)
-        except BudgetExceeded as exc:
-            checks.append(("full-scan", True, f"skipped: {exc.code}: {exc}"))
-        else:
-            scan = tuple(y for y in range(n) if (y * y - y) % n == 0)
-            checks.append(("full-scan", scan == idems, f"scan found {len(scan)} idempotents"))
-    if mod.m == 3:
-        ok = all(row[-1] for row in _closed_form_cross_check(mod))
-        variants = exponent_variant_check(mod)
-        agree = sum(1 for r in variants if r.agrees)
-        checks.append(
-            ("closed-form-crt", ok, f"8 patterns match; exponent variants agree {agree}/2")
-        )
-    if n <= SCAN_LIMIT:
-        try:
-            _charge(len(idems) * n, budget)
-        except BudgetExceeded as exc:
-            checks.append(("trace-solver-scan", True, f"skipped: {exc.code}: {exc}"))
-        else:
-            solver_ok = True
-            for d in idems:
-                sols = set(trace_candidates(mod, d).solutions)
-                scan = {t for t in range(n) if (t * t - t - 2 * d) % n == 0}
-                solver_ok = solver_ok and sols == scan
-            checks.append(("trace-solver-scan", solver_ok, f"{len(idems)} determinants checked"))
-    if mod.m == 3:
-        bad = 0
-        for d in nontrivial_idempotents(mod):
-            bad += len(closed_form_trace_solutions(mod, d).discrepancies)
-        checks.append(
-            ("trace-closed-forms", True, f"48 expressions evaluated, {bad} discrepancies")
-        )
-    degree = 0
-    while n ** (degree + 2) <= poly_budget:
-        degree += 1
-    try:
-        polys = poly_idempotents_bruteforce(mod, degree, budget=poly_budget)
-    except BudgetExceeded as exc:
-        checks.append(("poly-scan", True, f"skipped: {exc.code}: {exc}"))
-    else:
-        poly_ok = all(u.is_constant() for u in polys) and {
-            u.const_value() for u in polys
-        } == set(idems)
-        checks.append(
-            ("poly-scan", poly_ok, f"degree <= {degree}: {len(polys)} idempotents, all constant")
-        )
-    try:
-        rep = completeness_check(mod, budget=matrix_budget)
-        comp_ok = (
-            not rep.unmatched
-            and rep.det_support_ok(idems)
-            and all(
-                (d, t) not in rep.det_trace_histogram
-                for d in nontrivial_idempotents(mod)
-                for t in set(trace_candidates(mod, d).solutions) - expected_trace_values(mod, d)
-            )
-        )
-        checks.append(
-            (
-                "matrix-completeness",
-                comp_ok,
-                f"{rep.total} matrices, {len(rep.unmatched)} unmatched, impossible traces absent",
-            )
-        )
-    except (PrimesOutOfScope, WrongPrimeCount, BudgetExceeded) as exc:
-        checks.append(("matrix-completeness", True, f"skipped: {exc.code}: {exc}"))
-    return checks
-
-
 def _cmd_verify(args) -> int:
+    from . import verify
+
     mod = factor_squarefree(args.n)
-    checks = _verify_checks(mod, args.budget)
+    checks = verify.run_checks(mod, args.budget)
     passed = sum(1 for _, ok, _ in checks if ok)
     if args.json:
         doc = {

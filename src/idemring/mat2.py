@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 from .errors import MatrixFormatError, ModulusMismatch
@@ -191,6 +190,8 @@ def matrix_from_document(doc) -> Mat2Poly:
 
 
 def save_matrix(G: Mat2Poly, path) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(matrix_to_document(G), fp)
         fp.write("\n")
@@ -203,6 +204,8 @@ def read_matrix(fp) -> Mat2Poly:
     JSON or UTF-8 and an integer past the digit limit are ValueErrors, and
     nesting too deep for the decoder is a RecursionError.
     """
+    import json
+
     try:
         doc = json.load(fp)
     except (ValueError, RecursionError) as exc:

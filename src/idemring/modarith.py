@@ -5,8 +5,6 @@ function reduces its inputs, so arbitrary integers are accepted.  Python's
 arbitrary-precision ints make all intermediate products exact.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import chain, cycle
@@ -57,7 +55,7 @@ class Modulus(namedtuple("Modulus", "n primes")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, primes: tuple[int, ...]) -> Modulus:
+    def __new__(cls, n: int, primes: tuple[int, ...]) -> "Modulus":
         if n < 2:
             raise ValueError("modulus must be at least 2")
         if list(primes) != sorted(set(primes)):

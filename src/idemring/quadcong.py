@@ -1,7 +1,5 @@
 """Trace congruences t^2 = t + 2d (mod n) and their closed-form solution lists."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import product
 from operator import mul

@@ -1,14 +1,11 @@
 """Idempotent structure of Z_n and the polynomial-ring scan oracle."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded, InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
 from .modarith import Modulus, crt_combine, mod_pow
-from .polyring import Poly
 
 DEFAULT_POLY_BUDGET = 2_000_000
 
@@ -100,6 +97,16 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
     return value, text
 
 
+def closed_form_cross_check(mod: Modulus) -> list[tuple]:
+    """(pattern, CRT value, formula text, formula value, agree) for the 8 patterns."""
+    rows = []
+    for pat in product((0, 1), repeat=3):
+        value, text = euler_closed_form(mod, pat)
+        via_crt = crt_combine(list(zip(pat, mod.primes)))
+        rows.append((pat, via_crt, text, value, value == via_crt))
+    return rows
+
+
 ExponentVariantRow = namedtuple(
     "ExponentVariantRow", "pattern formula value variant_formula variant_value agrees"
 )
@@ -132,7 +139,7 @@ def exponent_variant_check(mod: Modulus) -> list[ExponentVariantRow]:
 
 def poly_idempotents_bruteforce(
     mod: Modulus, max_degree: int, budget: int = DEFAULT_POLY_BUDGET
-) -> list[Poly]:
+) -> "list[Poly]":
     """Every u in Z_n[x] of degree <= max_degree with u*u = u, by full scan.
 
     The search covers all n**(max_degree+1) coefficient vectors as a DFS
@@ -141,6 +148,8 @@ def poly_idempotents_bruteforce(
     subtree.  Survivors get a final exact u*u == u verification.  Reports
     whatever it finds; it never assumes the results are constant.
     """
+    from .polyring import Poly
+
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     n = mod.n

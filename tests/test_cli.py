@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -590,6 +591,44 @@ def test_well_formed_argv_never_imports_argparse(monkeypatch, tmp_path):
     want = [_parse_outcome(build_parser().parse_args, argv) for argv in (["-h"], bad)]
     assert [[code, out, err] for (_, code), out, err in want] == exits
     assert [code for code, _, _ in exits] == [0, 2]
+
+
+_LAZY_LOADS = """
+import io, sys
+from contextlib import redirect_stdout
+
+sys.path.insert(0, sys.argv[1])
+
+def heavy():
+    names = ("idemring.classify", "idemring.mat2", "idemring.polyring", "idemring.verify", "json")
+    return [m for m in names if m in sys.modules]
+
+import idemring, idemring.cli
+from idemring.cli import main
+
+seen = [heavy()]
+with redirect_stdout(io.StringIO()):
+    for argv in (["solve-trace", "105", "36"], ["solve-trace", "105", "36", "--json"], ["idempotents", "105"]):
+        seen.append([main(argv), heavy()])
+    codes = [main(argv) for argv in PLAIN_ARGV]
+print(repr([seen, codes]))
+"""
+
+
+def test_plain_calls_load_only_the_modules_they_run(tmp_path):
+    # a fresh interpreter: importing the package and the CLI, solve-trace and
+    # idempotents load no classifier, matrix, polynomial, verify or json
+    # module; afterwards one plain argv per verb still exits 0
+    (tmp_path / "m.json").write_text(json.dumps({"n": 385, "entries": [[[155], []], [[], [155]]]}))
+    src = str(Path(idemring.__file__).resolve().parents[1])
+    code = f"PLAIN_ARGV = {_PLAIN_ARGV!r}\n{_LAZY_LOADS}"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60, check=True,
+    )
+    seen, codes = ast.literal_eval(proc.stdout)
+    assert seen == [[], [0, []], [0, []], [0, []]]
+    assert codes == [0] * len(_PLAIN_ARGV)
 
 
 def test_parser_reuse_matches_fresh_interpreter(capsys, tmp_path):

@@ -20,7 +20,7 @@ from itertools import permutations
 
 import pytest
 
-from idemring import cli
+from idemring import cli, verify
 from idemring.classify import (
     DET0_GENERAL,
     DET0_SCALED,
@@ -209,7 +209,7 @@ def test_oracle_digests(monkeypatch, argv):
 
 def test_verify_json_digest(monkeypatch, completeness385):
     # the completeness sweep is the session fixture's; verify prints no timing
-    monkeypatch.setattr(cli, "completeness_check", lambda mod, budget: completeness385)
+    monkeypatch.setattr(verify, "completeness_check", lambda mod, budget: completeness385)
     assert digest(stdout_of(monkeypatch, ["verify", "385", "--json"])) == "c2923d148c2972c9"
 
 
