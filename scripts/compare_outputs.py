@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Compare the command line's output of two checkouts, argv by argv.
+
+    python3 scripts/compare_outputs.py PARENT CHANGE [--max-n N]
+
+For each checkout one child interpreter imports idemring from the
+checkout's src/ and calls `idemring.cli.main` in process over a fixed argv
+list, recording a digest of each call's stdout, stderr and exit code.  The
+list covers every verb, in text and with --json where the verb has it;
+help; a set of usage and coded errors; generate --out files classified
+back; and `idempotents n` and `solve-trace n d` for each squarefree
+n <= N (default 3000) and each idempotent d of Z_n.
+
+Every argv whose stdout, stderr or exit code differs is printed with the
+parts that differ; the exit code is 1 when any differs, else 0.  Each child
+runs with -B, COLUMNS=80 (argparse wraps help to the terminal width) and
+its own temporary working directory, where generate writes its files, so
+nothing is written into either checkout.  Standard library only.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# generate's families, written out: this script imports neither checkout
+FAMILIES = (
+    "det0-general",
+    "det0-scaled",
+    "detpair-scalar",
+    "detpair-shift",
+    "detpair-mixed",
+    "detsingle-scalar",
+    "detsingle-shift",
+)
+
+CHILD = """
+import hashlib, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+sys.path.insert(0, sys.argv[1])
+from idemring.cli import main
+
+digests = []
+with open(sys.argv[2]) as fp:
+    argvs = json.load(fp)
+for argv in argvs:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    parts = (out.getvalue(), err.getvalue(), repr(code))
+    digests.append([hashlib.sha256(part.encode()).hexdigest()[:16] for part in parts])
+print(json.dumps(digests))
+"""
+
+PARTS = ("stdout", "stderr", "exit")
+
+
+def squarefree_idempotents(max_n: int):
+    """(n, idempotents of Z_n) for each squarefree n in [2, max_n], by scan."""
+    for n in range(2, max_n + 1):
+        if any(n % (k * k) == 0 for k in range(2, int(n**0.5) + 1)):
+            continue
+        yield n, [y for y in range(n) if (y * y - y) % n == 0]
+
+
+def argv_list(max_n: int) -> list[list[str]]:
+    verbs = ("idempotents", "solve-trace", "classify", "generate", "oracle", "verify")
+    out = [["--help"], [], ["nope"]]
+    out += [[verb, "--help"] for verb in verbs]
+    out += [
+        # usage errors: argparse's own exit 2
+        ["idempotents"],
+        ["idempotents", "105", "extra"],
+        ["idempotents", "x"],
+        ["idempotents", "105", "--jsn"],
+        ["solve-trace", "105"],
+        ["solve-trace", "105", "1.5"],
+        ["classify"],
+        ["generate", "det0-general"],
+        ["generate", "no-such-family", "--n", "385"],
+        ["oracle", "35", "--budget", "-1"],
+        ["verify", "105", "--budget", "x"],
+        # coded errors: exit 1, or 2 for a polynomial that does not parse
+        ["idempotents", "12"],
+        ["idempotents", "1"],
+        ["solve-trace", "105", "2"],
+        ["oracle", "385", "--budget", "1000"],
+        ["verify", "385", "--budget", "1000"],
+        ["classify", "missing.json"],
+        ["generate", "det0-general", "--n", "35"],
+        ["generate", "det0-general", "--n", "385", "--e", "x^"],
+        ["generate", "det0-general", "--n", "385", "--det", "210"],
+        ["generate", "detpair-scalar", "--n", "385", "--det", "1"],
+    ]
+    for n in ("30", "35", "105", "385", "455"):
+        out += [["idempotents", n], ["idempotents", n, "--json"]]
+    out += [["solve-trace", "385", "210"], ["solve-trace", "385", "595", "--json"], ["solve-trace", "35", "15"]]
+    for n in ("35", "105"):
+        out += [["oracle", n], ["oracle", n, "--json"], ["verify", n], ["verify", n, "--json"]]
+    for family in FAMILIES:
+        for n, seed in (("385", "0"), ("385", "1"), ("455", "2")):
+            path = f"{family}-{n}-{seed}.json"
+            out += [
+                ["generate", family, "--n", n, "--seed", seed],
+                ["generate", family, "--n", n, "--seed", seed, "--degree", "0", "--out", path],
+                ["classify", path],
+                ["classify", path, "--json"],
+            ]
+    out += [
+        ["generate", "det0-general", "--n", "385", "--e", "3 + 2*x + x^2", "--g", "1"],
+        ["generate", "detpair-mixed", "--n", "385", "--swap-roles", "--seed", "5"],
+        ["generate", "det0-scaled", "--n", "455", "--scale", "91", "--degree", "1"],
+    ]
+    for n, idems in squarefree_idempotents(max_n):
+        out += [["idempotents", str(n)], ["idempotents", str(n), "--json"]]
+        for d in idems:
+            out += [["solve-trace", str(n), str(d)], ["solve-trace", str(n), str(d), "--json"]]
+    return out
+
+
+def digests(checkout: Path, argvs: list[list[str]]) -> list[list[str]]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        # the argv list goes through a file: it is too long for a command line
+        listing = Path(tmp) / "argv.json"
+        listing.write_text(json.dumps(argvs))
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", CHILD, str(checkout.resolve() / "src"), str(listing)],
+            env=env, cwd=tmp, capture_output=True, text=True,
+        )
+    if proc.returncode != 0:
+        sys.exit(f"error: {checkout}: the child exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--max-n", type=int, default=3000, help="largest n of the idempotents/solve-trace sweep")
+    args = ap.parse_args()
+    argvs = argv_list(args.max_n)
+    parent, change = digests(args.parent, argvs), digests(args.change, argvs)
+    differ = 0
+    for argv, p, c in zip(argvs, parent, change):
+        parts = [name for name, a, b in zip(PARTS, p, c) if a != b]
+        if parts:
+            differ += 1
+            print(f"differs ({', '.join(parts)}): {' '.join(argv)}")
+    print(f"compared {len(argvs)} argv: {differ} differ")
+    sys.exit(1 if differ else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -380,7 +380,7 @@ _FLAG = {"action": "store_true"}
 
 # verb -> (help, handler, arguments).  An argument is its name ("n" is a
 # positional, "--json" an option) and the keywords of argparse's
-# add_argument.  _parser_tree builds argparse's parsers from this table and
+# add_argument.  build_parser builds argparse's parsers from this table and
 # _recognize reads it directly, so the grammar is written down once.
 _GRAMMAR = {
     "idempotents": (
@@ -439,14 +439,12 @@ _GRAMMAR = {
 }
 
 
-def build_parser():
-    """The argparse parser behind parse_args, built on the first call."""
-    return _parser_tree()
-
-
 @cache
-def _parser_tree():
-    """The top-level argparse parser, with one subparser per verb of _GRAMMAR."""
+def build_parser():
+    """The argparse parser behind parse_args, built on the first call.
+
+    It has one subparser per verb of _GRAMMAR.
+    """
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -552,7 +550,7 @@ def parse_args(argv=None):
         argv = sys.argv[1:]
     args = _recognize(argv)
     if args is None:
-        args = _parser_tree().parse_args(argv)
+        args = build_parser().parse_args(argv)
     return args
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .errors import MatrixFormatError, ModulusMismatch
 from .polyring import MAX_GENERATE_DEGREE, Poly
@@ -33,12 +33,14 @@ class Mat2Poly:
         return cls(Poly(n, (e,)), Poly(n, (f,)), Poly(n, (g,)), Poly(n, (h,)))
 
     @classmethod
+    @cache
     def zero(cls, n: int) -> "Mat2Poly":
-        return _zero(n)
+        return cls.from_ints(n, 0, 0, 0, 0)
 
     @classmethod
+    @cache
     def identity(cls, n: int) -> "Mat2Poly":
-        return _identity(n)
+        return cls.from_ints(n, 1, 0, 0, 1)
 
     def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.e, self.f, self.g, self.h)
@@ -54,16 +56,6 @@ class Mat2Poly:
             self.g * other.e + self.h * other.g,
             self.g * other.f + self.h * other.h,
         )
-
-    def __add__(self, other):
-        if not isinstance(other, Mat2Poly):
-            return NotImplemented
-        return Mat2Poly(self.e + other.e, self.f + other.f, self.g + other.g, self.h + other.h)
-
-    def __sub__(self, other):
-        if not isinstance(other, Mat2Poly):
-            return NotImplemented
-        return Mat2Poly(self.e - other.e, self.f - other.f, self.g - other.g, self.h - other.h)
 
     def det(self) -> Poly:
         return self.e * self.h - self.f * self.g
@@ -95,9 +87,6 @@ class Mat2Poly:
         """G*G = G, decided by Cayley-Hamilton (see idempotent_det_trace)."""
         return self.idempotent_det_trace() is not None
 
-    def complement(self) -> "Mat2Poly":
-        return Mat2Poly.identity(self.n) - self
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat2Poly)
@@ -113,16 +102,6 @@ class Mat2Poly:
 
     def render(self) -> str:
         return "[{}, {}; {}, {}]".format(*(p.render() for p in self.entries()))
-
-
-@lru_cache(maxsize=None)
-def _zero(n: int) -> Mat2Poly:
-    return Mat2Poly.from_ints(n, 0, 0, 0, 0)
-
-
-@lru_cache(maxsize=None)
-def _identity(n: int) -> Mat2Poly:
-    return Mat2Poly.from_ints(n, 1, 0, 0, 1)
 
 
 def idempotency_equations_hold(G: Mat2Poly) -> bool:

@@ -5,8 +5,8 @@ from itertools import product
 from operator import mul
 
 from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
-from .modarith import Modulus, mod_inverse, mod_pow
-from .znring import nontrivial_idempotents, pattern_of, require_enumerable
+from .modarith import Modulus
+from .znring import euler_closed_form, nontrivial_idempotents, pattern_of, require_enumerable
 
 
 TraceCandidateSet = namedtuple("TraceCandidateSet", "modulus det solutions")
@@ -31,7 +31,7 @@ def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
         raise NotIdempotentDet(f"{d} is not idempotent mod {n}")
     require_enumerable(mod)
     per_prime = [(0, 1) if d % p == 0 else (2, -1) for p in mod.primes]
-    basis = [n // p * mod_inverse(n // p, p) for p in mod.primes]
+    basis = [n // p * pow(n // p, -1, p) for p in mod.primes]
     sols = {sum(map(mul, combo, basis)) % n for combo in product(*per_prime)}
     out = TraceCandidateSet(n, d, tuple(sorted(sols)))
     for t in out.solutions:
@@ -102,61 +102,42 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
 
     d must be one of the six nontrivial idempotents.  When d is a single
     prime power z^((a-1)(b-1)) the "prime"-pivot catalogue applies; when d
-    is a pair power (a*b)^(c-1) the "pair"-pivot catalogue applies.  Every
-    expression is evaluated exactly and compared with the solver;
+    is a pair power (a*b)^(c-1) the "pair"-pivot catalogue applies.  d's
+    value and text come from euler_closed_form, which checks the form.
+    Every expression is evaluated exactly and compared with the solver;
     mismatches are reported entry by entry, never repaired.
     """
     if mod.m != 3:
         raise WrongPrimeCount(f"need exactly 3 prime factors, got {mod.m}")
     n = mod.n
-    d %= n
     pat = pattern_of(mod, d)
-    weight = sum(pat)
-    if weight not in (1, 2):
+    if sum(pat) not in (1, 2):
         raise ValueError("no closed-form catalogue for the trivial idempotents 0 and 1")
-    ones = [p for p, b in zip(mod.primes, pat) if b]
-    zeros = [p for p, b in zip(mod.primes, pat) if not b]
-    if weight == 2:
+    # d is the CRT combination of pat, and so is the value euler_closed_form checks
+    d, dt = euler_closed_form(mod, pat)
+    ones, zeros = [], []
+    for p, bit in zip(mod.primes, pat):
+        (ones if bit else zeros).append(p)
+    exprs = [(f"2*{dt}", 2 * d), (f"{dt} + 1", d + 1), (f"-{dt}", -d), (f"1 - 2*{dt}", 1 - 2 * d)]
+    if len(ones) == 2:
+        pivot = "prime"
         z = zeros[0]
         a, b = ones
-        exp = (a - 1) * (b - 1)
-        if mod_pow(z, exp, n) != d:
-            raise InternalTheoremViolation(f"{z}^{exp} != {d} (mod {n})")
-        za = mod_pow(z, a - 1, n)
-        zb = mod_pow(z, b - 1, n)
-        pab = mod_pow(z * a, b - 1, n)
-        pba = mod_pow(z * b, a - 1, n)
-        exprs = [
-            (f"2*{z}^{exp}", 2 * d),
-            (f"{z}^{exp} + 1", d + 1),
-            (f"-{z}^{exp}", -d),
-            (f"1 - 2*{z}^{exp}", 1 - 2 * d),
-            (f"(-1 - 2*{z}^{a - 1})*({z}*{a})^{b - 1} + 2*{z}^{a - 1}", (-1 - 2 * za) * pab + 2 * za),
-            (f"(-2 - {z}^{a - 1})*({z}*{a})^{b - 1} + {z}^{a - 1} + 1", (-2 - za) * pab + za + 1),
-            (f"(-1 - 2*{z}^{b - 1})*({z}*{b})^{a - 1} + 2*{z}^{b - 1}", (-1 - 2 * zb) * pba + 2 * zb),
-            (f"(-2 - {z}^{b - 1})*({z}*{b})^{a - 1} + {z}^{b - 1} + 1", (-2 - zb) * pba + zb + 1),
-        ]
-        congruence = f"t^2 = t + 2*{z}^{exp} (mod {n})"
-        pivot = "prime"
+        for u, v in ((a, b), (b, a)):
+            s, st = pow(z, u - 1, n), f"{z}^{u - 1}"
+            q, qt = pow(z * u, v - 1, n), f"({z}*{u})^{v - 1}"
+            exprs.append((f"(-1 - 2*{st})*{qt} + 2*{st}", (-1 - 2 * s) * q + 2 * s))
+            exprs.append((f"(-2 - {st})*{qt} + {st} + 1", (-2 - s) * q + s + 1))
     else:
-        a, b = zeros
-        c = ones[0]
-        if mod_pow(a * b, c - 1, n) != d:
-            raise InternalTheoremViolation(f"({a}*{b})^{c - 1} != {d} (mod {n})")
-        wa = mod_pow(a, b - 1, n)
-        wb = mod_pow(b, a - 1, n)
-        exprs = [
-            (f"2*({a}*{b})^{c - 1}", 2 * d),
-            (f"-({a}*{b})^{c - 1}", -d),
-            (f"({a}*{b})^{c - 1} + 1", d + 1),
-            (f"1 - 2*({a}*{b})^{c - 1}", 1 - 2 * d),
-            (f"(2 - {a}^{b - 1})*({a}*{b})^{c - 1} + {a}^{b - 1}", (2 - wa) * d + wa),
-            (f"(-1 - {a}^{b - 1})*({a}*{b})^{c - 1} + {a}^{b - 1}", (-1 - wa) * d + wa),
-            (f"(2 - {b}^{a - 1})*({a}*{b})^{c - 1} + {b}^{a - 1}", (2 - wb) * d + wb),
-            (f"(-1 - {b}^{a - 1})*({a}*{b})^{c - 1} + {b}^{a - 1}", (-1 - wb) * d + wb),
-        ]
-        congruence = f"t^2 = t + 2*({a}*{b})^{c - 1} (mod {n})"
         pivot = "pair"
+        # the pair catalogue lists -d before d + 1
+        exprs[1], exprs[2] = exprs[2], exprs[1]
+        a, b = zeros
+        for u, v in ((a, b), (b, a)):
+            w, wt = pow(u, v - 1, n), f"{u}^{v - 1}"
+            exprs.append((f"(2 - {wt})*{dt} + {wt}", (2 - w) * d + w))
+            exprs.append((f"(-1 - {wt})*{dt} + {wt}", (-1 - w) * d + w))
+    congruence = f"t^2 = t + 2*{dt} (mod {n})"
     cands = trace_candidates(mod, d)
     sol_set = set(cands.solutions)
     # three primes, so each entry's residues and root flags are spelled out:

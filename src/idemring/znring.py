@@ -3,6 +3,7 @@
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .errors import BudgetExceeded, InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
 from .modarith import Modulus, crt_combine, mod_pow
@@ -55,11 +56,14 @@ def pattern_of(mod: Modulus, y: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
+_PATTERNS = frozenset(product((0, 1), repeat=3))
+
+
 def _check_pattern(mod: Modulus, pattern) -> tuple[int, int, int]:
     if mod.m != 3:
         raise WrongPrimeCount(f"need exactly 3 prime factors, got {mod.m}")
     pat = tuple(pattern)
-    if len(pat) != 3 or any(b not in (0, 1) for b in pat):
+    if pat not in _PATTERNS:
         raise ValueError(f"pattern must be three bits, got {pattern!r}")
     return pat
 
@@ -71,11 +75,13 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
     two primes)**(s-1); patterns with a single 0-bit at prime z evaluate
     z**((a-1)*(b-1)) for the two 1-bit primes a, b.  Fermat's little theorem
     makes each expression congruent to 1 at its 1-bit primes, and the result
-    is checked against the CRT combination before being returned.
+    is checked against the CRT combination before being returned.  This is
+    the one place the closed forms are stated.
     """
     pat = _check_pattern(mod, pattern)
-    ones = [p for p, b in zip(mod.primes, pat) if b]
-    zeros = [p for p, b in zip(mod.primes, pat) if not b]
+    ones, zeros = [], []
+    for p, bit in zip(mod.primes, pat):
+        (ones if bit else zeros).append(p)
     if not ones:
         value, text = 0, "0"
     elif len(ones) == 3:
@@ -89,8 +95,10 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
         exp = (ones[0] - 1) * (ones[1] - 1)
         value = mod_pow(z, exp, mod.n)
         text = f"{z}^{exp}"
-    expected = crt_combine(list(zip(pat, mod.primes)))
-    if value != expected:
+    # a value in [0, n) is the CRT combination of pat exactly when it is 0
+    # mod the 0-bit primes and 1 mod the 1-bit primes
+    if value % prod(zeros) or (value - 1) % prod(ones):
+        expected = crt_combine(list(zip(pat, mod.primes)))
         raise InternalTheoremViolation(
             f"closed form {text} = {value} but CRT gives {expected} (mod {mod.n})"
         )

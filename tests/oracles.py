@@ -66,3 +66,92 @@ def scan_poly_idempotents(n, max_degree):
         if ok:
             found.append(vec)
     return found
+
+
+# --- an independent generator of non-constant idempotent matrices --------
+#
+# A matrix is a tuple (e, f, g, h) of little-endian coefficient lists.  Over
+# F_p[x] each one here is E * diag(type) * E^-1 with E a product of four
+# elementary matrices, so it has the type's (det, trace) and is idempotent;
+# per-prime matrices are lifted to Z_n[x] by CRT, coefficient by coefficient.
+
+# the diagonal of each type, and its (det, trace) mod p
+ELEMENTARY_DIAGONALS = {"0": ([], []), "I": ([1], [1]), "R": ([1], [])}
+ELEMENTARY_DET_TRACE = {"0": (0, 0), "I": (1, 2), "R": (0, 1)}
+
+
+def _poly_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_add(a, b, n):
+    size = max(len(a), len(b))
+    return _poly_trim(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % n for i in range(size))
+
+
+def _poly_mul(a, b, n):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] = (out[i + j] + a[i] * b[j]) % n
+    return _poly_trim(out)
+
+
+def _matmul(A, B, n):
+    e, f, g, h = A
+    a, b, c, d = B
+    return (
+        _poly_add(_poly_mul(e, a, n), _poly_mul(f, c, n), n),
+        _poly_add(_poly_mul(e, b, n), _poly_mul(f, d, n), n),
+        _poly_add(_poly_mul(g, a, n), _poly_mul(h, c, n), n),
+        _poly_add(_poly_mul(g, b, n), _poly_mul(h, d, n), n),
+    )
+
+
+def elementary_idempotent(p, kind, rs):
+    """E * diag(kind) * E^-1 over F_p[x] for E = U(r0) L(r1) U(r2) L(r3).
+
+    U(r) = [[1, r], [0, 1]] and L(r) = [[1, 0], [r, 1]], each r a
+    coefficient list; kind is "0", "I" or "R" (diag(0, 0), diag(1, 1),
+    diag(1, 0)).  E^-1 = L(-r3) U(-r2) L(-r1) U(-r0).
+    """
+    one = [1]
+
+    def factor(k, r):
+        r = _poly_trim(c % p for c in r)
+        return (one, r, [], one) if k % 2 == 0 else (one, [], r, one)
+
+    E = E_inv = (one, [], [], one)
+    for k, r in enumerate(rs):
+        E = _matmul(E, factor(k, r), p)
+        E_inv = _matmul(factor(k, [-c for c in r]), E_inv, p)
+    a, b = ELEMENTARY_DIAGONALS[kind]
+    return _matmul(_matmul(E, (a, [], [], b), p), E_inv, p)
+
+
+def crt(residues, primes):
+    """The x in [0, prod(primes)) with x = r (mod p) for each pair."""
+    n = 1
+    for p in primes:
+        n *= p
+    return sum(r * (n // p) * pow(n // p, -1, p) for r, p in zip(residues, primes)) % n
+
+
+def crt_lift_matrix(mats, primes):
+    """The matrix over Z_n[x] that reduces to mats[i] mod primes[i]."""
+    lifted = []
+    for k in range(4):
+        size = max(len(M[k]) for M in mats)
+        coeffs = [crt([M[k][i] if i < len(M[k]) else 0 for M in mats], primes) for i in range(size)]
+        lifted.append(_poly_trim(coeffs))
+    return tuple(lifted)
+
+
+def matrix_is_idempotent(G, n):
+    """G * G == G over Z_n[x], by literal products."""
+    return _matmul(G, G, n) == tuple(_poly_trim(c % n for c in entry) for entry in G)

@@ -7,7 +7,17 @@ from math import gcd, prod
 from pathlib import Path
 
 import pytest
-from oracles import matrix_census_by_det_trace, scan_matrix_idempotents
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    ELEMENTARY_DET_TRACE,
+    crt,
+    crt_lift_matrix,
+    elementary_idempotent,
+    matrix_census_by_det_trace,
+    matrix_is_idempotent,
+    scan_matrix_idempotents,
+)
 
 from idemring.classify import (
     DET0_GENERAL,
@@ -267,7 +277,7 @@ def test_generate_classify_round_trip_all_families(mod385):
             G = generate(mod385, lab, rng=rng, max_degree=3)
             rep = classify(G, mod385)
             assert lab in rep.matches, (family, lab, G.render())
-            comp = G.complement()
+            comp = Mat2Poly(1 - G.e, -G.f, -G.g, 1 - G.h)
             assert comp.is_idempotent()
             crep = classify(comp, mod385)
             assert crep.trivial or crep.matches
@@ -289,6 +299,40 @@ def test_generate_accepts_recovered_witnesses():
                 (wit,) = classify(G, mod).witnesses
                 params = {key: wit[key] for key in ("e", "f", "g") if key in wit}
                 assert generate(mod, label, **params) == G, (n, label, degree)
+
+
+@st.composite
+def _elementary_draws(draw):
+    """(primes, per-prime types, per-prime four elementary r's of degree <= 3)."""
+    primes = draw(st.sampled_from([(5, 7, 11), (5, 7, 13), (7, 11, 13), (5, 7, 10007)]))
+    # hypothesis favours the first choice; R is the type with content
+    kinds = tuple(draw(st.sampled_from("R0I")) for _ in primes)
+    rs = [[draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4)) for _ in range(4)] for p in primes]
+    return primes, kinds, rs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elementary_draws())
+def test_independent_conjugates_classify_by_their_type_vector(drawn):
+    # the oracle's E * diag(type) * E^-1 shares no code with generate, whose
+    # default draws all have g a unit constant mod the side
+    primes, kinds, rs = drawn
+    n = prod(primes)
+    entries = crt_lift_matrix([elementary_idempotent(*args) for args in zip(primes, kinds, rs)], primes)
+    assert matrix_is_idempotent(entries, n)
+    mod = factor_squarefree(n)
+    G = Mat2Poly(*(Poly(n, cs) for cs in entries))
+    rep = classify(G, mod)
+    assert rep.idempotent
+    if kinds in (("0",) * 3, ("I",) * 3):
+        assert rep.trivial and rep.matches == []
+        return
+    det, trace = (crt([ELEMENTARY_DET_TRACE[k][i] for k in kinds], primes) for i in (0, 1))
+    assert not rep.trivial
+    (label,), (wit,) = rep.matches, rep.witnesses
+    assert (rep.det, rep.trace) == (label.det, label.trace) == (det, trace)
+    params = {key: wit[key] for key in ("e", "f", "g") if key in wit}
+    assert generate(mod, label, **params) == G
 
 
 def _naive_mul(a, b, n):

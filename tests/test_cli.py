@@ -543,7 +543,7 @@ def test_a_verb_argv_skips_the_top_level_parser(monkeypatch):
     def refuse():
         raise AssertionError("a well-formed argv reached argparse")
 
-    monkeypatch.setattr(cli, "_parser_tree", refuse)
+    monkeypatch.setattr(cli, "build_parser", refuse)
     assert [vars(parse_args(argv)) for argv in _PLAIN_ARGV] == expected
 
 

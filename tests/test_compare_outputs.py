@@ -1,0 +1,45 @@
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.stat().st_mtime_ns for p in root.rglob("*")}
+
+
+def _compare(parent: Path, change: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(parent), str(change), "--max-n", "40"],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_repo_against_itself():
+    before = _tree(ROOT / "src")
+    proc = _compare(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stderr
+    [summary] = proc.stdout.splitlines()
+    assert summary.startswith("compared ") and summary.endswith(" argv: 0 differ")
+    # children run with -B in a temporary directory: src/ is untouched
+    assert _tree(ROOT / "src") == before
+
+
+def test_a_changed_line_of_text_output_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    quadcong = tmp_path / "src" / "idemring" / "quadcong.py"
+    text = quadcong.read_text()
+    assert 'f"discrepancies: {' in text
+    quadcong.write_text(text.replace('f"discrepancies: {', 'f"discrepancy count: {'))
+    proc = _compare(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    *differ, summary = proc.stdout.splitlines()
+    assert summary.endswith(f" argv: {len(differ)} differ")
+    # only the text report of the closed-form catalogue prints that line
+    assert "differs (stdout): solve-trace 385 210" in differ
+    assert "differs (stdout): solve-trace 30 6" in differ
+    for line in differ:
+        assert line.startswith("differs (stdout): solve-trace ") and not line.endswith("--json")

@@ -4,7 +4,13 @@ import pytest
 from oracles import scan_prime_roots, scan_trace_solutions
 
 from idemring import znring
-from idemring.errors import BudgetExceeded, NotIdempotentDet, NotSquarefree, WrongPrimeCount
+from idemring.errors import (
+    BudgetExceeded,
+    InternalTheoremViolation,
+    NotIdempotentDet,
+    NotSquarefree,
+    WrongPrimeCount,
+)
 from idemring.modarith import Modulus, factor_squarefree, is_prime
 from idemring.quadcong import closed_form_trace_solutions, formula_discrepancy_survey, trace_candidates
 from idemring.znring import enumerate_idempotents
@@ -149,6 +155,16 @@ def test_closed_form_rejects_trivial_det(mod385):
         closed_form_trace_solutions(mod385, 0)
     with pytest.raises(ValueError):
         closed_form_trace_solutions(mod385, 1)
+
+
+def test_closed_form_check_lives_in_znring(monkeypatch, mod385):
+    # d's closed form is stated and checked once, by euler_closed_form: a
+    # power function off by one there must stop every catalogue
+    power = znring.mod_pow
+    monkeypatch.setattr(znring, "mod_pow", lambda a, k, n: (power(a, k, n) + 1) % n)
+    for d in znring.nontrivial_idempotents(mod385):
+        with pytest.raises(InternalTheoremViolation):
+            closed_form_trace_solutions(mod385, d)
 
 
 def test_closed_form_wrong_prime_count():
