@@ -9,7 +9,11 @@ list, recording a digest of each call's stdout, stderr and exit code.  The
 list covers every verb, in text and with --json where the verb has it;
 help; a set of usage and coded errors; generate --out files classified
 back; and `idempotents n` and `solve-trace n d` for each squarefree
-n <= N (default 3000) and each idempotent d of Z_n.
+n <= N (default 3000) and each idempotent d of Z_n.  For each such n that
+is p*q*r with primes > 3 (61 of them up to 3000) it also runs generate
+for every template: each nontrivial idempotent as --det of each family
+that reads it, also with --swap-roles for detpair-mixed, and as --scale
+of det0-scaled, each --out file classified back in text and --json.
 
 Every argv whose stdout, stderr or exit code differs is printed with the
 parts that differ; the exit code is 1 when any differs, else 0.  Each child
@@ -72,6 +76,25 @@ def squarefree_idempotents(max_n: int):
         yield n, [y for y in range(n) if (y * y - y) % n == 0]
 
 
+def template_argvs(n: int, dets: list[int]) -> list[list[str]]:
+    """generate over n = p*q*r (primes > 3) with each of its nontrivial
+    idempotents as --det or --scale, each --out file classified back."""
+    runs = [["det0-general"], ["det0-scaled"]]
+    for d in map(str, dets):
+        runs.append(["det0-scaled", "--scale", d])
+        runs += [[family, "--det", d] for family in FAMILIES if not family.startswith("det0-")]
+        runs.append(["detpair-mixed", "--det", d, "--swap-roles"])
+    out = []
+    for k, (family, *params) in enumerate(runs):
+        path = f"template-{n}-{k}.json"
+        out += [
+            ["generate", family, "--n", str(n), *params, "--out", path],
+            ["classify", path],
+            ["classify", path, "--json"],
+        ]
+    return out
+
+
 def argv_list(max_n: int) -> list[list[str]]:
     verbs = ("idempotents", "solve-trace", "classify", "generate", "oracle", "verify")
     out = [["--help"], [], ["nope"]]
@@ -124,6 +147,9 @@ def argv_list(max_n: int) -> list[list[str]]:
         out += [["idempotents", str(n)], ["idempotents", str(n), "--json"]]
         for d in idems:
             out += [["solve-trace", str(n), str(d)], ["solve-trace", str(n), str(d), "--json"]]
+        # 8 idempotents: three primes; all of them > 3 when 2 and 3 do not divide n
+        if len(idems) == 8 and n % 2 and n % 3:
+            out += template_argvs(n, idems[2:])
     return out
 
 

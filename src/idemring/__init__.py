@@ -61,7 +61,7 @@ _HOME = {
         "mat2",
     ),
     **dict.fromkeys(
-        ("Modulus", "crt_combine", "factor_squarefree", "is_prime", "mod_inverse", "mod_pow"),
+        ("Modulus", "factor_squarefree", "is_prime", "mod_inverse", "mod_pow"),
         "modarith",
     ),
     **dict.fromkeys(("Poly", "coeffs_divisible", "divide_coeffs", "parse_poly"), "polyring"),

@@ -3,12 +3,15 @@
 Z_n[x] is the product of the F_p[x], so an idempotent matrix reduces mod
 each prime to 0, to I, or to a rank-one idempotent R (det 0, trace 1).
 Each template is one type vector tau in {0, I, R}^3 other than 000 (the
-zero matrix) and III (the identity), lifted by CRT:
+zero matrix) and III (the identity).  The CRT lifts its I primes and its R
+primes to two orthogonal idempotents of Z_n, d (1 at the I primes, 0 at
+the others) and r (1 at the R primes), and the template's numbers are read
+off that pair:
 
-  det d      CRT of 0 at 0, 1 at I, 0 at R
-  trace t    CRT of 0 at 0, 2 at I, 1 at R
-  stride     product of the 0 and I primes; side = n / stride (the R primes)
-  offset u   CRT of 0 at 0, 1 at I modulo the stride (0 when stride = 1)
+  det d      the I-idempotent
+  trace t    2d + r (I has trace 2 and R trace 1 mod p)
+  stride     gcd(r, n), the product of the 0 and I primes; side = n / stride
+  offset u   d mod stride (0 when stride = 1)
 
 and its matrices are [[u + stride*e, stride*f], [stride*g, t - u - stride*e]]
 with det d.  The family is read off the type counts:
@@ -36,7 +39,8 @@ from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import gcd
+from operator import mul
 from types import MappingProxyType
 
 from .errors import (
@@ -59,7 +63,7 @@ from .families import (
     FAMILIES,
 )
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
-from .modarith import Modulus, crt_combine, mod_inverse
+from .modarith import Modulus, crt_basis, mod_inverse
 from .polyring import MAX_GENERATE_DEGREE, Poly, coeffs_divisible, divide_coeffs
 from .znring import nontrivial_idempotents  # noqa: F401 (re-exported)
 
@@ -120,10 +124,6 @@ class Template(namedtuple("Template", "label offset stride side")):
     __slots__ = ()
 
 
-# (det, trace) mod p of the three idempotent types mod p, in role order
-_TYPES = {"0": (0, 0), "R": (0, 1), "I": (1, 2)}
-
-
 def _family(tau: tuple[str, ...]) -> str:
     """The family of type vector tau, read off its counts of 0s and Is."""
     zeros, ones = tau.count("0"), tau.count("I")
@@ -146,16 +146,16 @@ def template_table(mod: Modulus) -> Mapping[tuple[int, int], Template]:
     """
     require_classification_scope(mod)
     n = mod.n
+    basis = crt_basis(mod)
     table: dict[tuple[int, int], Template] = {}
-    for tau in product(_TYPES, repeat=3):
+    # "0RI" orders both the table and each label's prime_roles
+    for tau in product("0RI", repeat=3):
         if tau in (("0",) * 3, ("I",) * 3):
             continue
-        typed = list(zip(tau, mod.primes))
-        det, trace = (crt_combine([(_TYPES[k][i], p) for k, p in typed]) for i in (0, 1))
-        fixed = [(int(k == "I"), p) for k, p in typed if k != "R"]
-        stride = prod(p for _, p in fixed)
-        offset = crt_combine(fixed) if fixed else 0
-        roles = tuple(p for rank in _TYPES for k, p in typed if k == rank)
+        det, r = (sum(map(mul, [k == kind for k in tau], basis)) % n for kind in "IR")
+        trace, stride = (2 * det + r) % n, gcd(r, n)
+        offset = det % stride
+        roles = tuple(p for kind in "0RI" for k, p in zip(tau, mod.primes) if k == kind)
         family = _family(tau)
         extra = {}
         if family == DET0_SCALED:
@@ -188,7 +188,8 @@ def _label_index(mod: Modulus):
     for (d, t), tpl in template_table(mod).items():
         family = tpl.label.family
         labels[family, t if family == DET0_SCALED else d].append(tpl.label)
-    pair_det, single_det = (crt_combine(list(zip(bits, mod.primes))) for bits in ((0, 0, 1), (0, 1, 1)))
+    basis = crt_basis(mod)
+    pair_det, single_det = (sum(map(mul, bits, basis)) % mod.n for bits in ((0, 0, 1), (0, 1, 1)))
     return {key: sorted(group) for key, group in labels.items()}, pair_det, single_det
 
 

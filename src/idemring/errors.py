@@ -29,10 +29,6 @@ class NotCoprime(IdemringError):
     """Inverse requested for an element sharing a factor with the modulus."""
 
 
-class ModuliNotCoprime(IdemringError):
-    """CRT system whose moduli are not pairwise coprime."""
-
-
 class WrongPrimeCount(IdemringError):
     """Operation requires a modulus with exactly three prime factors."""
 

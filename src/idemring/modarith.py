@@ -6,11 +6,10 @@ arbitrary-precision ints make all intermediate products exact.
 """
 
 from collections import namedtuple
-from collections.abc import Iterable
 from itertools import chain, cycle
 from math import gcd, prod
 
-from .errors import ModuliNotCoprime, ModulusTooSmall, NotCoprime, NotFactorable, NotSquarefree
+from .errors import ModulusTooSmall, NotCoprime, NotFactorable, NotSquarefree
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly below
@@ -129,25 +128,12 @@ def mod_inverse(a: int, n: int) -> int:
         raise NotCoprime(f"gcd({a}, {n}) = {gcd(a, n)}") from None
 
 
-def crt_combine(system: Iterable[tuple[int, int]]) -> int:
-    """Solve x = r_i (mod m_i) for pairwise coprime moduli m_i >= 2.
+def crt_basis(mod: Modulus) -> list[int]:
+    """The CRT basis e_p = (n/p)*((n/p)^-1 mod p) of Z_n, one per prime of mod.
 
-    Returns the unique solution in [0, prod(m_i)).
+    e_p is 1 mod p and 0 mod every other prime, so the x in [0, n) with
+    x = r_p (mod p) at each prime is sum(map(mul, residues, basis)) % n.
+    This is the one place the CRT is stated.
     """
-    items = list(system)
-    if not items:
-        raise ValueError("empty congruence system")
-    r0, m0 = items[0]
-    if m0 < 2:
-        raise ValueError("moduli must be at least 2")
-    x = r0 % m0
-    m = m0
-    for r, mi in items[1:]:
-        if mi < 2:
-            raise ValueError("moduli must be at least 2")
-        if gcd(m, mi) != 1:
-            raise ModuliNotCoprime(f"moduli {m} and {mi} share a factor")
-        k = ((r - x) * mod_inverse(m, mi)) % mi
-        x += m * k
-        m *= mi
-    return x
+    n = mod.n
+    return [n // p * pow(n // p, -1, p) for p in mod.primes]

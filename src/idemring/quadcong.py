@@ -4,8 +4,8 @@ from collections import namedtuple
 from itertools import product
 from operator import mul
 
-from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
-from .modarith import Modulus
+from .errors import InternalTheoremViolation, WrongPrimeCount
+from .modarith import Modulus, crt_basis
 from .znring import euler_closed_form, nontrivial_idempotents, pattern_of, require_enumerable
 
 
@@ -17,21 +17,19 @@ def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
 
     An idempotent d is 0 or 1 mod each prime p, so t^2 - t - 2d factors
     mod p as t(t - 1) or (t - 2)(t + 1): the roots are 0, 1 or 2, -1, read
-    off d mod p in O(1).  They are recombined over every choice of
-    per-prime root through the CRT basis e_p = (n/p)*((n/p)^-1 mod p),
-    which is 1 mod p and 0 mod every other prime, and every solution is
-    checked.  The sum is reduced mod n and collected in a set, so the roots
-    need no reduction mod p: 2, -1 are 0, 1 mod 2, and mod 3 they coincide
-    (a double root).  More than MAX_ENUMERATED_PRIMES primes raise
+    off d's bit at p (pattern_of, which raises NotIdempotentDet for any
+    other d) in O(1).  They are recombined over every choice of per-prime
+    root through modarith's crt_basis, and every solution is checked.  The
+    sum is reduced mod n and collected in a set, so the roots need no
+    reduction mod p: 2, -1 are 0, 1 mod 2, and mod 3 they coincide (a
+    double root).  More than MAX_ENUMERATED_PRIMES primes raise
     BudgetExceeded before the 2**m combinations start.
     """
     n = mod.n
     d %= n
-    if (d * d - d) % n:
-        raise NotIdempotentDet(f"{d} is not idempotent mod {n}")
+    per_prime = [(2, -1) if bit else (0, 1) for bit in pattern_of(mod, d)]
     require_enumerable(mod)
-    per_prime = [(0, 1) if d % p == 0 else (2, -1) for p in mod.primes]
-    basis = [n // p * pow(n // p, -1, p) for p in mod.primes]
+    basis = crt_basis(mod)
     sols = {sum(map(mul, combo, basis)) % n for combo in product(*per_prime)}
     out = TraceCandidateSet(n, d, tuple(sorted(sols)))
     for t in out.solutions:

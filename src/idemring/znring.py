@@ -4,9 +4,10 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import mul
 
 from .errors import BudgetExceeded, InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
-from .modarith import Modulus, crt_combine, mod_pow
+from .modarith import Modulus, crt_basis, mod_pow
 
 DEFAULT_POLY_BUDGET = 2_000_000
 
@@ -33,10 +34,8 @@ def enumerate_idempotents(mod: Modulus) -> tuple[int, ...]:
     MAX_ENUMERATED_PRIMES primes raise BudgetExceeded before any is made.
     """
     require_enumerable(mod)
-    sols = []
-    for bits in product((0, 1), repeat=mod.m):
-        sols.append(crt_combine(list(zip(bits, mod.primes))))
-    return tuple(sorted(sols))
+    basis = crt_basis(mod)
+    return tuple(sorted(sum(map(mul, bits, basis)) % mod.n for bits in product((0, 1), repeat=mod.m)))
 
 
 def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
@@ -98,7 +97,7 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
     # a value in [0, n) is the CRT combination of pat exactly when it is 0
     # mod the 0-bit primes and 1 mod the 1-bit primes
     if value % prod(zeros) or (value - 1) % prod(ones):
-        expected = crt_combine(list(zip(pat, mod.primes)))
+        expected = sum(map(mul, pat, crt_basis(mod))) % mod.n
         raise InternalTheoremViolation(
             f"closed form {text} = {value} but CRT gives {expected} (mod {mod.n})"
         )
@@ -107,10 +106,11 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
 
 def closed_form_cross_check(mod: Modulus) -> list[tuple]:
     """(pattern, CRT value, formula text, formula value, agree) for the 8 patterns."""
+    basis = crt_basis(mod)
     rows = []
     for pat in product((0, 1), repeat=3):
         value, text = euler_closed_form(mod, pat)
-        via_crt = crt_combine(list(zip(pat, mod.primes)))
+        via_crt = sum(map(mul, pat, basis)) % mod.n
         rows.append((pat, via_crt, text, value, value == via_crt))
     return rows
 

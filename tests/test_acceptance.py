@@ -12,6 +12,7 @@ from math import prod
 from pathlib import Path
 
 from oracles import (
+    crt,
     matrix_census_by_det_trace,
     scan_matrix_idempotents,
     scan_prime_roots,
@@ -34,7 +35,7 @@ from idemring.classify import (
 )
 from idemring.cli import main as cli_main, report_files
 from idemring.errors import NotSquarefree
-from idemring.modarith import Modulus, crt_combine, factor_squarefree
+from idemring.modarith import Modulus, factor_squarefree
 from idemring.quadcong import formula_discrepancy_survey, trace_candidates
 from idemring.znring import (
     enumerate_idempotents,
@@ -77,7 +78,7 @@ def test_criterion_2_closed_forms_sweep_2000():
     variant_mismatches = []
     for mod in moduli:
         for pat in product((0, 1), repeat=3):
-            assert euler_closed_form(mod, pat)[0] == crt_combine(list(zip(pat, mod.primes)))
+            assert euler_closed_form(mod, pat)[0] == crt(pat, mod.primes)
         for row in exponent_variant_check(mod):
             if not row.agrees:
                 variant_mismatches.append((mod.n, row))

@@ -48,7 +48,7 @@ from idemring.errors import (
     UnsatisfiableParams,
 )
 from idemring.mat2 import Mat2Poly
-from idemring.modarith import Modulus, crt_combine, factor_squarefree
+from idemring.modarith import Modulus, factor_squarefree
 from idemring.polyring import Poly
 from idemring.quadcong import trace_candidates
 from idemring.znring import enumerate_idempotents
@@ -142,7 +142,7 @@ def _make_label_by_scan(mod, family, *, det=None, scale=None, swap_mixed_roles=F
         raise ValueError(f"unknown family {family!r}")
     n = mod.n
     single = family in (DETSINGLE_SCALAR, DETSINGLE_SHIFT)
-    default = crt_combine(list(zip((0, 1, 1) if single else (0, 0, 1), mod.primes)))
+    default = crt((0, 1, 1) if single else (0, 0, 1), mod.primes)
     trace = None
     if family == DET0_SCALED:
         det, trace = 0, (default if scale is None else scale) % n
@@ -549,14 +549,6 @@ def test_closed_form_census_equals_archived_report(n):
     assert archived["family_counts"] == dict(families)
 
 
-def _crt(residues, primes):
-    x, m = 0, 1
-    for r, p in zip(residues, primes):
-        x += m * ((r - x) * pow(m, -1, p) % p)
-        m *= p
-    return x
-
-
 @pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
 def test_template_table_is_the_per_prime_type_table(n):
     # (det, trace) mod p of the zero matrix, the identity and a rank-one idempotent
@@ -567,7 +559,7 @@ def test_template_table_is_the_per_prime_type_table(n):
     types = [tau for tau in product("0IR", repeat=3) if tau not in (("0",) * 3, ("I",) * 3)]
     assert len(types) == len(table) == 25
     for tau in types:
-        key = tuple(_crt([det_trace[k][i] for k in tau], mod.primes) for i in (0, 1))
+        key = tuple(crt([det_trace[k][i] for k in tau], mod.primes) for i in (0, 1))
         tpl = table[key]
         stride = prod(p for k, p in zip(tau, mod.primes) if k != "R")
         zeros, ones, rs = (tau.count(k) for k in "0IR")
@@ -584,7 +576,7 @@ def test_template_table_is_the_per_prime_type_table(n):
         assert (tpl.label.det, tpl.label.trace) == key, tau
         assert (tpl.stride, tpl.side) == (stride, n // stride), tau
         fixed = [(int(k == "I"), p) for k, p in zip(tau, mod.primes) if k != "R"]
-        assert tpl.offset == (_crt(*zip(*fixed)) if fixed else 0), tau
+        assert tpl.offset == (crt(*zip(*fixed)) if fixed else 0), tau
         assert tpl.label.family == family, tau
 
 

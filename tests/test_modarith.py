@@ -1,14 +1,18 @@
+import importlib
 import time
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import crt
 
 from idemring import modarith
-from idemring.errors import ModuliNotCoprime, NotCoprime, NotFactorable, NotSquarefree
+from idemring.errors import InternalTheoremViolation, NotCoprime, NotFactorable, NotSquarefree
 from idemring.modarith import (
     Modulus,
-    crt_combine,
+    crt_basis,
     factor_squarefree,
     is_prime,
     mod_inverse,
@@ -16,6 +20,7 @@ from idemring.modarith import (
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIMES_BELOW_100 = SMALL_PRIMES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 def test_factor_105():
@@ -161,30 +166,43 @@ def test_mod_inverse_property(a, n):
             mod_inverse(a, n)
 
 
-def test_crt_examples():
-    assert crt_combine([(0, 3), (1, 5), (1, 7)]) == 36
-    assert crt_combine([(0, 3), (0, 5), (1, 7)]) == 15
-    assert crt_combine([(4, 9)]) == 4
-
-
-def test_crt_rejects_common_factor():
-    with pytest.raises(ModuliNotCoprime):
-        crt_combine([(1, 6), (2, 4)])
-
-
 @settings(max_examples=200)
 @given(
-    st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=5, unique=True),
+    st.lists(st.sampled_from(PRIMES_BELOW_100), min_size=1, max_size=16, unique=True),
     st.data(),
 )
-def test_crt_round_trip(moduli, data):
-    system = [(data.draw(st.integers(0, m - 1)), m) for m in moduli]
-    x = crt_combine(system)
-    total = 1
-    for r, m in system:
-        assert x % m == r
-        total *= m
-    assert 0 <= x < total
+def test_crt_basis_lifts_residues_like_the_oracle(primes, data):
+    primes = tuple(sorted(primes))
+    mod = Modulus(prod(primes), primes)
+    basis = crt_basis(mod)
+    # e_p is 1 mod p and 0 mod every other prime
+    assert [[e % q for q in primes] for e in basis] == [[int(p == q) for q in primes] for p in primes]
+    # residues need no reduction mod p first: trace_candidates lifts -1
+    residues = [data.draw(st.integers(-2 * p, 2 * p)) for p in primes]
+    assert sum(map(mul, residues, basis)) % mod.n == crt(residues, primes)
+
+
+def test_every_lift_goes_through_crt_basis(monkeypatch, mod385):
+    # n/p without its inverse mod p is not 1 mod p; a module that kept a CRT
+    # of its own would still answer as before
+    znring, quadcong, classify = (
+        importlib.import_module(f"idemring.{name}") for name in ("znring", "quadcong", "classify")
+    )
+    calls = {
+        # __wrapped__ skips the caches, which hold the right answers
+        "enumerate_idempotents": lambda: znring.enumerate_idempotents.__wrapped__(mod385),
+        "trace_candidates": lambda: quadcong.trace_candidates(mod385, 210),
+        "template_table": lambda: dict(classify.template_table.__wrapped__(mod385)),
+    }
+    right = {name: call() for name, call in calls.items()}
+    for module in (znring, quadcong, classify):
+        monkeypatch.setattr(module, "crt_basis", lambda mod: [mod.n // p for p in mod.primes])
+    for name, call in calls.items():
+        try:
+            answer = call()
+        except InternalTheoremViolation:
+            continue
+        assert answer != right[name], name
 
 
 @given(st.integers(2, 2000))

@@ -24,7 +24,7 @@ EXPORTS = {
         "Mat2Poly", "idempotency_equations_hold", "load_matrix", "matrix_from_document",
         "matrix_to_document", "read_matrix", "save_matrix",
     ],
-    "modarith": ["Modulus", "crt_combine", "factor_squarefree", "is_prime", "mod_inverse", "mod_pow"],
+    "modarith": ["Modulus", "factor_squarefree", "is_prime", "mod_inverse", "mod_pow"],
     "polyring": ["Poly", "coeffs_divisible", "divide_coeffs", "parse_poly"],
     "quadcong": [
         "FormulaEntry", "FormulaReport", "TraceCandidateSet", "closed_form_trace_solutions",

@@ -2,10 +2,10 @@ import random
 from itertools import product
 
 import pytest
-from oracles import scan_poly_idempotents, scan_ring_idempotents
+from oracles import crt, scan_poly_idempotents, scan_ring_idempotents
 
 from idemring.errors import BudgetExceeded, WrongPrimeCount
-from idemring.modarith import Modulus, crt_combine, factor_squarefree
+from idemring.modarith import Modulus, factor_squarefree
 from idemring import znring
 from idemring.znring import (
     enumerate_idempotents,
@@ -59,7 +59,7 @@ def test_euler_idempotent_examples(mod105, mod385):
     assert euler_closed_form(mod105, (1, 1, 1))[0] == 1
     assert euler_closed_form(mod385, (0, 1, 1))[0] == 155
     # cross-check through the CRT route
-    assert crt_combine([(0, 5), (1, 7), (1, 11)]) == 155
+    assert crt((0, 1, 1), (5, 7, 11)) == 155
 
 
 def test_euler_formula_text(mod105):
@@ -71,7 +71,7 @@ def test_euler_all_patterns_match_crt():
     for n in (105, 385, 455, 1001, 2431):
         mod = factor_squarefree(n)
         for pat in product((0, 1), repeat=3):
-            assert euler_closed_form(mod, pat)[0] == crt_combine(list(zip(pat, mod.primes)))
+            assert euler_closed_form(mod, pat)[0] == crt(pat, mod.primes)
 
 
 def test_euler_wrong_prime_count():
