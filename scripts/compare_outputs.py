@@ -8,8 +8,10 @@ checkout's src/ and calls `idemring.cli.main` in process over a fixed argv
 list, recording a digest of each call's stdout, stderr and exit code.  The
 list covers every verb, in text and with --json where the verb has it;
 help; a set of usage and coded errors; generate --out files classified
-back; and `idempotents n` and `solve-trace n d` for each squarefree
-n <= N (default 3000) and each idempotent d of Z_n.  For each such n that
+back; `idempotents n --json` and `solve-trace n d`, text and --json, for
+each idempotent d of a fixed list of large moduli (LARGE_MODULI); and
+`idempotents n` and `solve-trace n d` for each squarefree n <= N
+(default 3000) and each idempotent d of Z_n.  For each such n that
 is p*q*r with primes > 3 (61 of them up to 3000) it also runs generate
 for every template: each nontrivial idempotent as --det of each family
 that reads it, also with --swap-roles for detpair-mixed, and as --scale
@@ -28,6 +30,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import compress, product
+from math import prod
 from pathlib import Path
 
 # generate's families, written out: this script imports neither checkout
@@ -66,6 +70,20 @@ print(json.dumps(digests))
 """
 
 PARTS = ("stdout", "stderr", "exit")
+
+# Moduli past the sweep, as their primes: trace-largeprime's 5*7*p, p in
+# [2*10**4, 6*10**4); two primes above the factorizer's table of the
+# primes below 1000; and a prime cofactor near 10**12, which keeps trial
+# division going to 10**6
+LARGE_MODULI = ((5, 7, 20011), (5, 7, 40009), (5, 7, 59999), (5, 1009, 1013), (5, 7, 999999999989))
+
+
+def crt_idempotents(primes: tuple[int, ...]) -> list[int]:
+    """The idempotents of Z_n, n the product of primes, ascending: the CRT
+    combinations of a 0 or 1 at every prime."""
+    n = prod(primes)
+    basis = [n // p * pow(n // p, -1, p) for p in primes]
+    return sorted(sum(compress(basis, bits)) % n for bits in product((0, 1), repeat=len(primes)))
 
 
 def squarefree_idempotents(max_n: int):
@@ -123,6 +141,11 @@ def argv_list(max_n: int) -> list[list[str]]:
         ["generate", "det0-general", "--n", "385", "--e", "x^"],
         ["generate", "det0-general", "--n", "385", "--det", "210"],
         ["generate", "detpair-scalar", "--n", "385", "--det", "1"],
+        # past the factorizer's trial bound, and a square past its prime table
+        ["idempotents", str(1000003 * 1000033)],
+        ["solve-trace", str(1000003 * 1000033), "0", "--json"],
+        ["idempotents", str(5 * 1009**2)],
+        ["solve-trace", str(5 * 1009**2), "0", "--json"],
     ]
     for n in ("30", "35", "105", "385", "455"):
         out += [["idempotents", n], ["idempotents", n, "--json"]]
@@ -143,6 +166,11 @@ def argv_list(max_n: int) -> list[list[str]]:
         ["generate", "detpair-mixed", "--n", "385", "--swap-roles", "--seed", "5"],
         ["generate", "det0-scaled", "--n", "455", "--scale", "91", "--degree", "1"],
     ]
+    for primes in LARGE_MODULI:
+        n = str(prod(primes))
+        out.append(["idempotents", n, "--json"])
+        for d in map(str, crt_idempotents(primes)):
+            out += [["solve-trace", n, d], ["solve-trace", n, d, "--json"]]
     for n, idems in squarefree_idempotents(max_n):
         out += [["idempotents", str(n)], ["idempotents", str(n), "--json"]]
         for d in idems:

@@ -59,15 +59,6 @@ def _label_json(label) -> dict:
     return {k: v for k, v in label._asdict().items() if k != "modulus" and v is not None}
 
 
-# Exact type -> JSON text of the scalars a document may hold.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
 def _dumps(doc) -> str:
     """json.dumps(doc, indent=2, sort_keys=True), byte for byte.
 
@@ -83,7 +74,10 @@ def _dumps(doc) -> str:
 def _encode(value, nl: str, put) -> None:
     """Append the container value to put; nl is the newline and indent of its line.
 
-    Scalars are encoded in the loops, so only containers recurse.  Dicts and
+    Scalars are encoded in the loops, so only containers recurse.  Each
+    scalar's exact type is tested inline, ints (the most common) first; a
+    bool, an IntEnum member or a str subclass is neither an int nor a str
+    here, so only True, False and None are written as the rest.  Dicts and
     lists keep separate loops: one loop over (key prefix, item) pairs for
     both took about 1.5x as long on solve-trace documents.
     """
@@ -99,14 +93,22 @@ def _encode(value, nl: str, put) -> None:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             head = sep + encode_basestring_ascii(key) + ": "
             sep = comma
-            enc = _SCALARS.get(type(item))
-            if enc is not None:
-                put(head + enc(item))
+            kind = type(item)
+            if kind is int:
+                put(f"{head}{item}")
+            elif kind is str:
+                put(head + encode_basestring_ascii(item))
+            elif item is True:
+                put(head + "true")
+            elif item is False:
+                put(head + "false")
+            elif item is None:
+                put(head + "null")
             elif isinstance(item, (dict, list, tuple)):
                 put(head)
                 _encode(item, inner, put)
             else:
-                raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         put(nl + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -114,14 +116,22 @@ def _encode(value, nl: str, put) -> None:
             return
         sep = "[" + inner
         for item in value:
-            enc = _SCALARS.get(type(item))
-            if enc is not None:
-                put(sep + enc(item))
+            kind = type(item)
+            if kind is int:
+                put(f"{sep}{item}")
+            elif kind is str:
+                put(sep + encode_basestring_ascii(item))
+            elif item is True:
+                put(sep + "true")
+            elif item is False:
+                put(sep + "false")
+            elif item is None:
+                put(sep + "null")
             elif isinstance(item, (dict, list, tuple)):
                 put(sep)
                 _encode(item, inner, put)
             else:
-                raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
             sep = comma
         put(nl + "]")
     else:

@@ -25,9 +25,14 @@ def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
     double root).  More than MAX_ENUMERATED_PRIMES primes raise
     BudgetExceeded before the 2**m combinations start.
     """
+    d %= mod.n
+    return _solve(mod, d, pattern_of(mod, d))
+
+
+def _solve(mod: Modulus, d: int, pattern) -> TraceCandidateSet:
+    """trace_candidates for a d in [0, n) whose per-prime bits are pattern."""
     n = mod.n
-    d %= n
-    per_prime = [(2, -1) if bit else (0, 1) for bit in pattern_of(mod, d)]
+    per_prime = [(2, -1) if bit else (0, 1) for bit in pattern]
     require_enumerable(mod)
     basis = crt_basis(mod)
     sols = {sum(map(mul, combo, basis)) % n for combo in product(*per_prime)}
@@ -136,7 +141,7 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
             exprs.append((f"(2 - {wt})*{dt} + {wt}", (2 - w) * d + w))
             exprs.append((f"(-1 - {wt})*{dt} + {wt}", (-1 - w) * d + w))
     congruence = f"t^2 = t + 2*{dt} (mod {n})"
-    cands = trace_candidates(mod, d)
+    cands = _solve(mod, d, pat)
     sol_set = set(cands.solutions)
     # three primes, so each entry's residues and root flags are spelled out:
     # v mod p is a root exactly when p divides v^2 - v - 2d

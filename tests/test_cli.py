@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from math import prod
 from pathlib import Path
 
@@ -664,6 +665,31 @@ _CONTAINERS = st.recursive(
 @given(_CONTAINERS)
 def test_dumps_is_stdlib_indent_2_sort_keys(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dumps_keeps_bools_apart_from_the_ints_1_and_0():
+    # scalars are told apart by exact type: True and False are not written
+    # as 1 and 0, in a list or as a dict value
+    assert _dumps([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]"
+    assert _dumps({"a": True, "b": 1, "c": False, "d": 0}) == (
+        '{\n  "a": true,\n  "b": 1,\n  "c": false,\n  "d": 0\n}'
+    )
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("scalar", [_Level.ONE, _Text("x")], ids=["IntEnum", "str-subclass"])
+@pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: {"k": x}], ids=["list-item", "dict-value"])
+def test_dumps_rejects_subclasses_of_int_and_str(scalar, wrap):
+    # json.dumps would write them; the writer accepts exact types only
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _dumps(wrap(scalar))
 
 
 @pytest.mark.parametrize("doc", [{"a": 1.5}, [[{1, 2}]], {1: "x"}, {"a": {2: 3}}, 1.5, "top-level"])

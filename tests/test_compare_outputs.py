@@ -41,5 +41,9 @@ def test_a_changed_line_of_text_output_is_reported(tmp_path):
     # only the text report of the closed-form catalogue prints that line
     assert "differs (stdout): solve-trace 385 210" in differ
     assert "differs (stdout): solve-trace 30 6" in differ
+    # the large moduli past --max-n run too: trace-largeprime's 5*7*p, two
+    # primes above 1000, and a prime cofactor near 10**12
+    for n in (35 * 20011, 35 * 40009, 35 * 59999, 5 * 1009 * 1013, 35 * 999999999989):
+        assert sum(line.startswith(f"differs (stdout): solve-trace {n} ") for line in differ) == 6, n
     for line in differ:
         assert line.startswith("differs (stdout): solve-trace ") and not line.endswith("--json")

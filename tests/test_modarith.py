@@ -216,3 +216,62 @@ def test_factor_recomposes(n):
         assert is_prime(p)
         prodval *= p
     assert prodval == n
+
+
+def _factor_as_sympy_says(n):
+    """Check factor_squarefree(n) against sympy.factorint.
+
+    Trial division stops at 10**6, so a repeated prime up to there raises
+    NotSquarefree naming the least one, two prime factors above it (counted
+    with multiplicity) leave a composite cofactor above 10**12 and raise
+    NotFactorable, and otherwise the primes are factorint's.
+    """
+    factors = pytest.importorskip("sympy").factorint(n)
+    repeated = sorted(p for p, e in factors.items() if e > 1 and p <= 10**6)
+    if repeated:
+        with pytest.raises(NotSquarefree) as exc:
+            factor_squarefree(n)
+        assert str(exc.value) == f"{repeated[0]}^2 divides {n}"
+    elif sum(e for p, e in factors.items() if p > 10**6) > 1:
+        with pytest.raises(NotFactorable):
+            factor_squarefree(n)
+    else:
+        assert factor_squarefree(n) == (n, tuple(sorted(factors)))
+
+
+def _primes_from(seeds):
+    # the least prime >= each seed
+    nextprime = pytest.importorskip("sympy").nextprime
+    return [nextprime(k - 1) for k in seeds]
+
+
+# seeds around the end of the prime table (997) and the start of the wheel
+# after it (1001, 1009), and around the trial bound 10**6
+_NEAR_TABLE_END = st.integers(900, 1120)
+_NEAR_TRIAL_BOUND = st.integers(10**6 - 400, 10**6 + 100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(2, 60), max_size=2),
+    st.lists(_NEAR_TABLE_END, max_size=3),
+    st.lists(_NEAR_TRIAL_BOUND, max_size=2),
+)
+def test_factor_matches_sympy_around_the_prime_table_end(small, near_end, near_bound):
+    primes = _primes_from(small + near_end + near_bound)
+    if primes:
+        _factor_as_sympy_says(prod(primes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_NEAR_TABLE_END, st.lists(st.integers(2, 1120), max_size=2))
+def test_factor_names_a_squared_prime_near_the_table_end(seed, others):
+    [p] = _primes_from([seed])
+    _factor_as_sympy_says(p * p * prod(set(_primes_from(others)) - {p}))
+
+
+@given(st.integers(20_000, 59_999))
+def test_factor_matches_sympy_on_the_trace_workload_moduli(seed):
+    # solve-trace's benchmark moduli 5*7*p, p in [2*10**4, 6*10**4)
+    [p] = _primes_from([seed])
+    _factor_as_sympy_says(35 * p)
