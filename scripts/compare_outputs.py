@@ -7,9 +7,13 @@ For each checkout one child interpreter imports idemring from the
 checkout's src/ and calls `idemring.cli.main` in process over a fixed argv
 list, recording a digest of each call's stdout, stderr and exit code.  The
 list covers every verb, in text and with --json where the verb has it;
-help; a set of usage and coded errors; generate --out files classified
-back; `idempotents n --json` and `solve-trace n d`, text and --json, for
-each idempotent d of a fixed list of large moduli (LARGE_MODULI); and
+help; a set of usage and coded errors; generate with explicit --e, --f
+and --g (an f that meets the side condition, one that does not, a g that
+is not a unit constant mod the side) and at --degree 20; generate --out
+files classified back; classify, text and --json, on a fixed set of
+malformed matrix documents (MALFORMED_DOCUMENTS); `idempotents n --json`
+and `solve-trace n d`, text and --json, for each idempotent d of a fixed
+list of large moduli (LARGE_MODULI); and
 `idempotents n` and `solve-trace n d` for each squarefree n <= N
 (default 3000) and each idempotent d of Z_n.  For each such n that
 is p*q*r with primes > 3 (61 of them up to 3000) it also runs generate
@@ -21,7 +25,8 @@ Every argv whose stdout, stderr or exit code differs is printed with the
 parts that differ; the exit code is 1 when any differs, else 0.  Each child
 runs with -B, COLUMNS=80 (argparse wraps help to the terminal width) and
 its own temporary working directory, where generate writes its files, so
-nothing is written into either checkout.  Standard library only.
+nothing is written into either checkout; the malformed documents are
+written there too.  Standard library only.
 """
 
 import argparse
@@ -76,6 +81,36 @@ PARTS = ("stdout", "stderr", "exit")
 # primes below 1000; and a prime cofactor near 10**12, which keeps trial
 # division going to 10**6
 LARGE_MODULI = ((5, 7, 20011), (5, 7, 40009), (5, 7, 59999), (5, 1009, 1013), (5, 7, 999999999989))
+
+
+# Matrix documents the decoder rejects, one per message and precedence
+# rule: matrix_from_document checks the entries in reading order, each
+# coefficient's type before its range
+MALFORMED_DOCUMENTS = (
+    b"{not json",
+    b"\xff\xfe",
+    b"[" * 100_000,
+    b'{"n": 385, "entries": [[[' + b"1" * 5000 + b'], []], [[], []]]}',
+    b"[]",
+    b'{"n": 385}',
+    b'{"n": 1, "entries": [[[], []], [[], []]]}',
+    b'{"n": true, "entries": [[[], []], [[], []]]}',
+    b'{"n": 385, "entries": "[]"}',
+    b'{"n": 385, "entries": [[[], []], [[]]]}',
+    b'{"n": 385, "entries": [[[], []], [[], [], []]]}',
+    b'{"n": 385, "entries": [[[1], 2], [[], []]]}',
+    b'{"n": 385, "entries": [[[], []], [[], [' + b"1, " * 2001 + b'1]]]}',
+    b'{"n": 385, "entries": [[[385], []], [[], []]]}',
+    b'{"n": 385, "entries": [[[-1], []], [[], []]]}',
+    b'{"n": 385, "entries": [[["1"], []], [[], []]]}',
+    b'{"n": 385, "entries": [[[385, "1"], []], [[], []]]}',
+    b'{"n": 385, "entries": [[["1", 385], []], [[], []]]}',
+    b'{"n": 385, "entries": [[[true], []], [[], []]]}',
+    b'{"n": 385, "entries": [[[1.0], []], [[], []]]}',
+    b'{"n": 385, "entries": [[[0, 1, 0], []], [[], []]]}',
+    b'{"n": 385, "entries": [[[1, 0], ["1"]], [[], []]]}',
+    b'{"n": 385, "entries": [[[1], [2]], [[385], ["1"]]]}',
+)
 
 
 def crt_idempotents(primes: tuple[int, ...]) -> list[int]:
@@ -161,6 +196,34 @@ def argv_list(max_n: int) -> list[list[str]]:
                 ["classify", path],
                 ["classify", path, "--json"],
             ]
+    # explicit parameters at 385 with e = x: the f that meets the side
+    # condition, f plus a multiple of the side, an f that does not, and a g
+    # that is not a unit constant mod the side
+    for family, params, f, side in (
+        ("det0-general", [], "x - x^2", 385),
+        ("det0-scaled", ["--scale", "210"], "x - x^2", 11),
+        ("detpair-shift", [], "19*x + 34*x^2", 35),
+        ("detsingle-shift", [], "2*x + 4*x^2", 5),
+        ("detpair-mixed", [], "1 + 5*x + 6*x^2", 7),
+        ("detpair-scalar", [], "x", 1),
+    ):
+        run = ["generate", family, "--n", "385", *params, "--e", "x"]
+        out += [
+            [*run, "--g", "1", "--f", f],
+            [*run, "--g", "1", "--f", f"{f} + {side}*x^3"],
+            [*run, "--g", "1", "--f", f"{f} + 1"],
+            [*run, "--g", "5"],
+            [*run, "--g", "1 + x"],
+        ]
+    for family in FAMILIES:
+        path = f"{family}-degree-20.json"
+        out += [
+            ["generate", family, "--n", "385", "--seed", "4", "--degree", "20"],
+            ["generate", family, "--n", "385", "--seed", "4", "--degree", "20", "--out", path],
+            ["classify", path, "--json"],
+        ]
+    for k in range(len(MALFORMED_DOCUMENTS)):
+        out += [["classify", f"malformed-{k}.json"], ["classify", f"malformed-{k}.json", "--json"]]
     out += [
         ["generate", "det0-general", "--n", "385", "--e", "3 + 2*x + x^2", "--g", "1"],
         ["generate", "detpair-mixed", "--n", "385", "--swap-roles", "--seed", "5"],
@@ -188,6 +251,8 @@ def digests(checkout: Path, argvs: list[list[str]]) -> list[list[str]]:
         # the argv list goes through a file: it is too long for a command line
         listing = Path(tmp) / "argv.json"
         listing.write_text(json.dumps(argvs))
+        for k, text in enumerate(MALFORMED_DOCUMENTS):
+            (Path(tmp) / f"malformed-{k}.json").write_bytes(text)
         proc = subprocess.run(
             [sys.executable, "-B", "-c", CHILD, str(checkout.resolve() / "src"), str(listing)],
             env=env, cwd=tmp, capture_output=True, text=True,

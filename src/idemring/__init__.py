@@ -64,7 +64,7 @@ _HOME = {
         ("Modulus", "factor_squarefree", "is_prime", "mod_inverse", "mod_pow"),
         "modarith",
     ),
-    **dict.fromkeys(("Poly", "coeffs_divisible", "divide_coeffs", "parse_poly"), "polyring"),
+    **dict.fromkeys(("Poly", "divide_coeffs", "parse_poly"), "polyring"),
     **dict.fromkeys(
         (
             "FormulaEntry",

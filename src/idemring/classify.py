@@ -64,7 +64,7 @@ from .families import (
 )
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
 from .modarith import Modulus, crt_basis, mod_inverse
-from .polyring import MAX_GENERATE_DEGREE, Poly, coeffs_divisible, divide_coeffs
+from .polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs
 from .znring import nontrivial_idempotents  # noqa: F401 (re-exported)
 
 
@@ -331,6 +331,11 @@ def _unit_constant_mod(gpoly: Poly, w: int):
     return g0
 
 
+def _times(k: int, p: Poly) -> Poly:
+    """k * p, built from p's coefficients without coercing k to a Poly."""
+    return Poly(p.n, [k * c for c in p.coeffs])
+
+
 def _strided_matrix(tpl, e, f, g):
     """[[u + stride*e, stride*f], [stride*g, t - u - stride*e]] with det d.
 
@@ -338,20 +343,29 @@ def _strided_matrix(tpl, e, f, g):
     stride * g * f = residual / stride modulo the side divisor.
     """
     n, d, t, sigma, side = tpl.label.modulus, tpl.label.det, tpl.label.trace, tpl.stride, tpl.side
-    diag = tpl.offset + sigma * e
-    h = t - diag
-    residual = diag * h - d
-    if not coeffs_divisible(residual, sigma):
+    cs = [sigma * c for c in e.coeffs] or [0]
+    cs[0] += tpl.offset
+    diag = Poly(n, cs)
+    cs = [-c for c in diag.coeffs] or [0]
+    cs[0] += t
+    h = Poly(n, cs)
+    # diag * h - d, each coefficient congruent mod n (so mod the stride) to
+    # the canonical one
+    residual = list((diag * h).coeffs) or [0]
+    residual[0] -= d
+    if any(c % sigma for c in residual):
         raise InternalTheoremViolation("template residual not divisible by the stride")
     if f is None:
         g0 = _unit_constant_mod(g, side)
         if g0 is None:
             raise UnsatisfiableParams(f"g must reduce to a unit constant mod {side} to solve for f")
         inv = mod_inverse(sigma * g0, side)
-        f = Poly(n, ((inv * c) % side for c in divide_coeffs(residual, sigma).coeffs))
-    elif sigma * sigma * (f * g) != residual:
+        sigma_f = Poly(n, [sigma * (inv * (c // sigma) % side) for c in residual])
+    elif sigma * sigma * (f * g) != Poly(n, residual):
         raise UnsatisfiableParams("parameters violate the determinant side condition")
-    return Mat2Poly(diag, sigma * f, sigma * g, h)
+    else:
+        sigma_f = _times(sigma, f)
+    return Mat2Poly(diag, sigma_f, _times(sigma, g), h)
 
 
 def generate(
@@ -369,12 +383,13 @@ def generate(
     """Produce an idempotent matrix that classify() matches to label.
 
     Free template parameters left as None are drawn from rng (or a
-    Random(seed), made at the first draw); the parameter bound by the side
-    condition is solved per coefficient.  Explicit parameters that violate
-    the side condition and cannot be repaired raise UnsatisfiableParams,
-    and so do a max_degree or an explicit parameter of degree above
-    MAX_GENERATE_DEGREE.  The result is verified idempotent before being
-    returned.
+    Random(seed), made only when e is drawn); the parameter bound by the
+    side condition is solved per coefficient.  Explicit parameters that
+    violate the side condition and cannot be repaired raise
+    UnsatisfiableParams, and so do a max_degree or an explicit parameter of
+    degree above MAX_GENERATE_DEGREE; an explicit parameter over another
+    modulus raises ModulusMismatch.  The result is verified idempotent
+    before being returned.
 
     m, the multiplier det0-scaled once solved f with, is still accepted
     but only has its degree checked: it entered the matrix as I * J * m,
@@ -385,33 +400,31 @@ def generate(
         raise UnsatisfiableParams(f"max_degree must be non-negative, got {max_degree}")
     if max_degree > MAX_GENERATE_DEGREE:
         raise UnsatisfiableParams(f"max_degree {max_degree} exceeds the limit {MAX_GENERATE_DEGREE}")
-    for name, p in (("e", e), ("f", f), ("g", g), ("m", m)):
-        if p is not None and p.degree > MAX_GENERATE_DEGREE:
-            raise UnsatisfiableParams(f"{name} of degree {p.degree} exceeds the limit {MAX_GENERATE_DEGREE}")
     n = mod.n
-
-    def draw() -> Poly:
-        nonlocal rng
-        if rng is None:
-            rng = random.Random(seed)
-        return _random_poly(rng, n, max_degree)
-
+    for name, p in (("e", e), ("f", f), ("g", g), ("m", m)):
+        if p is None:
+            continue
+        if p.degree > MAX_GENERATE_DEGREE:
+            raise UnsatisfiableParams(f"{name} of degree {p.degree} exceeds the limit {MAX_GENERATE_DEGREE}")
+        if p.n != n:
+            raise ModulusMismatch(f"{name} over {p.n}, modulus {n}")
     fam, d = label.family, label.det
     if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         G = Mat2Poly.from_ints(n, d, 0, 0, d)
     else:
-        e = draw() if e is None else e
+        if e is None:
+            e = _random_poly(random.Random(seed) if rng is None else rng, n, max_degree)
         g = Poly.constant(n, 1) if g is None else g
         if fam == DET0_SCALED:
             # I * [[e, f], [g, 1-e]] is the strided matrix of k*e, k*f, k*g:
             # stride * k = I exactly, and stride * k = 1 (mod J)
             k = label.scale // tpl.stride
-            e, g = k * e, k * g
-            f = None if f is None else k * f
+            e, g = _times(k, e), _times(k, g)
+            f = None if f is None else _times(k, f)
         G = _strided_matrix(tpl, e, f, g)
     if not G.is_idempotent():
         raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
-    if any(len(p.coeffs) > MAX_ENTRY_DEGREE + 1 for p in G.entries()):
+    if max(len(G.e.coeffs), len(G.f.coeffs), len(G.g.coeffs), len(G.h.coeffs)) > MAX_ENTRY_DEGREE + 1:
         raise InternalTheoremViolation(f"generated entry above the decoder's degree limit {MAX_ENTRY_DEGREE}")
     return G
 

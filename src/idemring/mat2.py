@@ -138,9 +138,11 @@ def _entry_from_coeffs(n: int, coeffs) -> Poly:
     if len(coeffs) > MAX_ENTRY_DEGREE + 1:
         raise MatrixFormatError(f"entry of degree {len(coeffs) - 1} exceeds the limit {MAX_ENTRY_DEGREE}")
     for c in coeffs:
-        if not isinstance(c, int) or isinstance(c, bool):
+        # an exact int skips both isinstance calls; an int subclass other
+        # than bool is still accepted
+        if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
             raise MatrixFormatError("coefficients must be integers")
-        if c < 0 or c >= n:
+        if not 0 <= c < n:
             raise MatrixFormatError(f"coefficient {c} is not canonical in [0, {n})")
     if coeffs and coeffs[-1] == 0:
         raise MatrixFormatError("trailing zero coefficients are forbidden")
@@ -157,15 +159,17 @@ def matrix_from_document(doc) -> Mat2Poly:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise MatrixFormatError("'n' must be an integer >= 2")
     entries = doc["entries"]
-    if (
-        not isinstance(entries, list)
-        or len(entries) != 2
-        or any(not isinstance(row, list) or len(row) != 2 for row in entries)
-    ):
+    if not isinstance(entries, list) or len(entries) != 2:
         raise MatrixFormatError("'entries' must be a 2x2 array")
-    e, f = (_entry_from_coeffs(n, cs) for cs in entries[0])
-    g, h = (_entry_from_coeffs(n, cs) for cs in entries[1])
-    return Mat2Poly(e, f, g, h)
+    top, bottom = entries
+    if not (isinstance(top, list) and len(top) == 2 and isinstance(bottom, list) and len(bottom) == 2):
+        raise MatrixFormatError("'entries' must be a 2x2 array")
+    return Mat2Poly(
+        _entry_from_coeffs(n, top[0]),
+        _entry_from_coeffs(n, top[1]),
+        _entry_from_coeffs(n, bottom[0]),
+        _entry_from_coeffs(n, bottom[1]),
+    )
 
 
 def save_matrix(G: Mat2Poly, path) -> None:

@@ -90,12 +90,14 @@ _SMALL_PRIMES = _primes_below(1000)
 def factor_squarefree(n: int) -> Modulus:
     """Factor n by trial division, insisting every prime appears exactly once.
 
-    Trial division runs over the primes below 1000 (_SMALL_PRIMES) and then
-    6k - 1, 6k + 1 from 1001 up to 10**6; a cofactor left above 10**12 is
-    certified prime by is_prime.  Raises ModulusTooSmall for n < 2,
-    NotSquarefree on a repeated prime factor and NotFactorable when that
-    cofactor is composite (it has no factor up to 10**6, and finding one is
-    not attempted) or beyond is_prime's limit.
+    Trial division runs over the primes below 1000 (_SMALL_PRIMES).  When
+    that table runs out, a cofactor below MILLER_RABIN_LIMIT that is_prime
+    certifies ends the search; any other continues with 6k - 1, 6k + 1 from
+    1001 up to 10**6, and a cofactor then left above 10**12 is certified
+    prime by is_prime.  Raises ModulusTooSmall for n < 2, NotSquarefree on
+    a repeated prime factor and NotFactorable when that cofactor is
+    composite (it has no factor up to 10**6, and finding one is not
+    attempted) or beyond is_prime's limit.
     """
     if n < 2:
         raise ModulusTooSmall(f"n must be at least 2, got {n}")
@@ -113,6 +115,9 @@ def factor_squarefree(n: int) -> Modulus:
                 raise NotSquarefree(f"{d}^2 divides {n}")
             primes.append(d)
     else:
+        # the table ran out below rem's square root: a prime rem needs no wheel
+        if rem < MILLER_RABIN_LIMIT and is_prime(rem):
+            return Modulus._make((n, (*primes, rem)))
         d = 1001
         steps = cycle((2, 4))  # 1001, 1003, 1007, 1009, ...
         while d <= bound and d * d <= rem:
@@ -128,7 +133,7 @@ def factor_squarefree(n: int) -> Modulus:
         primes.append(rem)
     # _make skips Modulus's checks, which would test every prime again:
     # each d found is the least factor of rem, hence prime, and a final rem
-    # is prime because the loop stopped at d*d > rem, or at d > bound with
+    # is prime because a loop stopped at d*d > rem, or at d > bound with
     # no factor up to bound and rem <= bound**2, or is_prime said so.
     # Modulus(...) still checks.
     return Modulus._make((n, tuple(primes)))

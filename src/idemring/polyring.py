@@ -198,11 +198,6 @@ def parse_poly(n: int, text: str) -> Poly:
     return Poly(n, vec)
 
 
-def coeffs_divisible(p: Poly, d: int) -> bool:
-    """True when every canonical coefficient of p is divisible by d."""
-    return all(c % d == 0 for c in p.coeffs)
-
-
 def divide_coeffs(p: Poly, d: int) -> Poly:
     """Exact coefficientwise division of the canonical coefficients by d."""
     if any(c % d for c in p.coeffs):

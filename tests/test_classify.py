@@ -399,6 +399,94 @@ def test_det0_scaled_is_the_scaled_det0_matrix(n):
     assert solved == 42 and accepted >= 42 and rejected > 0
 
 
+def _naive_template(n, label, e, f, g):
+    """[[u + s*e, s*f], [s*g, t - u - s*e]] for label, as trimmed coefficient
+    tuples, or the UnsatisfiableParams message generate gives.
+
+    The stride s is gcd(t - 2d, n) and the offset u is d mod s; f = None is
+    solved per coefficient from s*g0*f = (diag*h - d)/s (mod n/s), g0 the
+    unit constant g reduces to mod n/s.  det0-scaled first multiplies e, f
+    and g by k = I/s, I its scale.
+    """
+    d, t = label.det, label.trace
+    s = gcd((t - 2 * d) % n, n)
+    u, side = d % s, n // s
+    if label.family == DET0_SCALED:
+        k = label.scale // s
+        e, g = ([k * c % n for c in cs] for cs in (e, g))
+        f = None if f is None else [k * c % n for c in f]
+    diag = [s * c % n for c in e] or [0]
+    diag[0] = (diag[0] + u) % n
+    h = _naive_sub([t], diag, n)
+    residual = _naive_sub(_naive_mul(diag, h, n), [d], n)
+    assert all(c % s == 0 for c in residual)
+    if f is None:
+        g0 = g[0] % side if g else 0
+        if any(c % side for c in g[1:]) or gcd(g0, side) != 1:
+            return f"g must reduce to a unit constant mod {side} to solve for f"
+        f = [pow(s * g0, -1, side) * (c // s) % side for c in residual]
+    elif any(_naive_sub(residual, [s * s * c for c in _naive_mul(f, g, n)], n)):
+        return "parameters violate the determinant side condition"
+    return _naive_scaled(1, (diag, [s * c for c in f], [s * c for c in g], h), n)
+
+
+def _generated(mod, label, **params):
+    """generate's entries as coefficient tuples, or its UnsatisfiableParams message."""
+    try:
+        G = generate(mod, label, **{key: Poly(mod.n, cs) for key, cs in params.items()})
+    except UnsatisfiableParams as exc:
+        return str(exc)
+    return tuple(p.coeffs for p in G.entries())
+
+
+@pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
+def test_every_template_is_its_strided_formula(n):
+    mod = factor_squarefree(n)
+    rng = random.Random(n)
+    outcomes = Counter()
+    for label in (tpl.label for tpl in template_table(mod).values()):
+        side = n // gcd((label.trace - 2 * label.det) % n, n)
+        for degree in range(7):
+            e = [rng.randrange(n) for _ in range(degree)] + [rng.randrange(1, n)]
+            g0 = rng.randrange(1, n)
+            while gcd(g0, side) != 1:
+                g0 = rng.randrange(1, n)
+            g = _naive_sub([g0], [side * rng.randrange(n) for _ in range(3)], n)
+            want = _naive_template(n, label, e, None, g)
+            assert _generated(mod, label, e=e, g=g) == want, (label, e, g)
+            outcomes["solved"] += 1
+            # the solved f plus multiples of the side is accepted; a random f
+            # with a random g is accepted exactly when the side condition holds
+            stride = n // side
+            k = label.scale // stride if label.family == DET0_SCALED else 1
+            solved_f = [c // stride * pow(k, -1, side) % side for c in want[1]]
+            for f, g1 in (
+                (_naive_sub(solved_f, [side * rng.randrange(n) for _ in range(2 * degree + 1)], n), g),
+                ([rng.randrange(n) for _ in range(2 * degree + 1)], [rng.randrange(n) for _ in range(3)]),
+            ):
+                want = _naive_template(n, label, e, f, g1)
+                assert _generated(mod, label, e=e, f=f, g=g1) == want, (label, e, f, g1)
+                outcomes["rejected" if isinstance(want, str) else "accepted"] += 1
+            # g must be a unit constant mod the side to solve for f
+            if side > 1:
+                p = next(p for p in mod.primes if side % p == 0)
+                for g1 in ([p * rng.randrange(n) % n], [g0, side * rng.randrange(stride) + rng.randrange(1, side)]):
+                    want = _naive_template(n, label, e, None, g1)
+                    assert want == f"g must reduce to a unit constant mod {side} to solve for f"
+                    assert _generated(mod, label, e=e, g=g1) == want
+                    outcomes["non-unit g"] += 1
+    assert outcomes["solved"] == 25 * 7 and outcomes["accepted"] >= 25 * 7
+    # the six scalar templates (side 1) read no parameter and reject none
+    assert outcomes["rejected"] > 0 and outcomes["non-unit g"] == 19 * 2 * 7
+
+
+def test_generate_rejects_a_parameter_over_another_modulus(mod385):
+    for label in (tpl.label for tpl in template_table(mod385).values()):
+        for name in "efgm":
+            with pytest.raises(ModulusMismatch, match=f"^{name} over 455, modulus 385$"):
+                generate(mod385, label, **{name: Poly(455, [1, 2])})
+
+
 def test_det0_scaled_g_need_only_be_a_unit_mod_the_annihilator(mod385):
     label = make_label(mod385, DET0_SCALED, scale=210)
     assert label.annihilator == 11

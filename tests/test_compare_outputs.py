@@ -47,3 +47,21 @@ def test_a_changed_line_of_text_output_is_reported(tmp_path):
         assert sum(line.startswith(f"differs (stdout): solve-trace {n} ") for line in differ) == 6, n
     for line in differ:
         assert line.startswith("differs (stdout): solve-trace ") and not line.endswith("--json")
+
+
+def test_a_reworded_decoder_message_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    mat2 = tmp_path / "src" / "idemring" / "mat2.py"
+    text = mat2.read_text()
+    assert text.count('"trailing zero coefficients are forbidden"') == 1
+    mat2.write_text(text.replace('"trailing zero coefficients are forbidden"', '"trailing zeros are forbidden"'))
+    proc = _compare(ROOT, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    *differ, summary = proc.stdout.splitlines()
+    assert summary.endswith(" argv: 4 differ")
+    # two malformed documents fail on a trailing zero, one of them before
+    # its next entry's string coefficient is read; classify prints the
+    # message on stderr, in text and with --json
+    assert sorted(differ) == sorted(
+        f"differs (stderr): classify malformed-{k}.json{flag}" for k in (20, 21) for flag in ("", " --json")
+    )

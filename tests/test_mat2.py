@@ -1,5 +1,6 @@
 import json
 import random
+from enum import IntEnum
 from itertools import product
 
 import pytest
@@ -175,22 +176,52 @@ def test_document_zero_entry_is_empty_array():
     assert matrix_to_document(G)["entries"] == [[[], []], [[], []]]
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"entries": [[[], []], [[], []]]},
-        {"n": 385},
-        {"n": 1, "entries": [[[], []], [[], []]]},
-        {"n": 385, "entries": [[[], []], [[]]]},
-        {"n": 385, "entries": [[[0, 1, 0], []], [[], []]]},  # trailing zero
-        {"n": 385, "entries": [[[385], []], [[], []]]},  # out of range
-        {"n": 385, "entries": [[[-1], []], [[], []]]},
-        {"n": 385, "entries": [[["1"], []], [[], []]]},
-    ],
-)
-def test_document_rejects_bad_shapes(doc):
-    with pytest.raises(MatrixFormatError):
+_NOT_CANONICAL = "coefficient {} is not canonical in [0, 385)"
+_BAD_DOCS = [
+    ({"entries": [[[], []], [[], []]]}, "matrix document needs fields 'n' and 'entries'"),
+    ({"n": 385}, "matrix document needs fields 'n' and 'entries'"),
+    ({"n": 1, "entries": [[[], []], [[], []]]}, "'n' must be an integer >= 2"),
+    ({"n": 385, "entries": [[[], []], [[]]]}, "'entries' must be a 2x2 array"),
+    ({"n": 385, "entries": [[[0, 1, 0], []], [[], []]]}, "trailing zero coefficients are forbidden"),
+    ({"n": 385, "entries": [[[385], []], [[], []]]}, _NOT_CANONICAL.format(385)),
+    ({"n": 385, "entries": [[[-1], []], [[], []]]}, _NOT_CANONICAL.format(-1)),
+    ({"n": 385, "entries": [[["1"], []], [[], []]]}, "coefficients must be integers"),
+    # the first failing coefficient of an entry names the fault
+    ({"n": 385, "entries": [[[385, "1"], []], [[], []]]}, _NOT_CANONICAL.format(385)),
+    ({"n": 385, "entries": [[["1", 385], []], [[], []]]}, "coefficients must be integers"),
+    ({"n": 385, "entries": [[[0, 385, 0], []], [[], []]]}, _NOT_CANONICAL.format(385)),
+    ({"n": 385, "entries": [[[3, 385**2], []], [[], []]]}, _NOT_CANONICAL.format(385**2)),
+    ({"n": 385, "entries": [[[True], []], [[], []]]}, "coefficients must be integers"),
+    ({"n": 385, "entries": [[[1, False], []], [[], []]]}, "coefficients must be integers"),
+    ({"n": 385, "entries": [[[1.0], []], [[], []]]}, "coefficients must be integers"),
+    # entries are checked in reading order, each one whole before the next
+    ({"n": 385, "entries": [[[1, 0], ["1"]], [[], []]]}, "trailing zero coefficients are forbidden"),
+    ({"n": 385, "entries": [[[1], [2]], [[385], ["1"]]]}, _NOT_CANONICAL.format(385)),
+    ({"n": 385, "entries": [[[1], 2], [[], []]]}, "each entry must be an array of coefficients"),
+    ({"n": 385, "entries": [[[], []], [[], [1] * (MAX_ENTRY_DEGREE + 2)]]},
+     f"entry of degree {MAX_ENTRY_DEGREE + 1} exceeds the limit {MAX_ENTRY_DEGREE}"),
+    ({"n": 385, "entries": [[[], []], [[], [], []]]}, "'entries' must be a 2x2 array"),
+    ({"n": 385, "entries": [[[], []], ([], [])]}, "'entries' must be a 2x2 array"),
+    ({"n": 385, "entries": "[]"}, "'entries' must be a 2x2 array"),
+    ({"n": True, "entries": [[[], []], [[], []]]}, "'n' must be an integer >= 2"),
+    ([], "matrix document must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("doc, message", _BAD_DOCS, ids=[f"doc{i}" for i in range(len(_BAD_DOCS))])
+def test_document_rejects_bad_shapes(doc, message):
+    with pytest.raises(MatrixFormatError) as exc:
         matrix_from_document(doc)
+    assert str(exc.value) == message
+
+
+def test_document_accepts_int_subclasses():
+    class Coeff(IntEnum):
+        ONE = 1
+        THREE = 3
+
+    G = matrix_from_document({"n": N, "entries": [[[Coeff.THREE, Coeff.ONE], []], [[], [Coeff.ONE]]]})
+    assert G == M([3, 1], [], [], [1])
 
 
 def test_decoded_entry_is_an_ordinary_poly():

@@ -54,6 +54,27 @@ def test_factor_certifies_a_prime_cofactor_above_the_trial_bound():
     assert factor_squarefree(35 * (10**16 + 61)).primes == (5, 7, 10**16 + 61)
 
 
+def test_factor_certifies_a_prime_cofactor_without_the_wheel():
+    # the 6k +- 1 wheel would run to 10**6 before reaching this cofactor
+    n = 5 * 7 * 999999999989
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        mod = factor_squarefree(n)
+        best = min(best, time.perf_counter() - start)
+    assert mod.primes == (5, 7, 999999999989)
+    assert best < 0.005
+
+
+def test_factor_runs_the_wheel_for_a_cofactor_at_the_primality_limit():
+    # 1009 * q is past is_prime's limit, so the wheel finds 1009 and is_prime
+    # certifies q afterwards
+    q = pytest.importorskip("sympy").prevprime(modarith.MILLER_RABIN_LIMIT)
+    assert 1009 * q >= modarith.MILLER_RABIN_LIMIT
+    assert factor_squarefree(1009 * q).primes == (1009, q)
+    assert factor_squarefree(5 * 1009 * q).primes == (5, 1009, q)
+
+
 def test_is_prime_equals_sympy_below_200000():
     isprime = pytest.importorskip("sympy").isprime
     assert [k for k in range(200_000) if is_prime(k)] == [k for k in range(200_000) if isprime(k)]
@@ -104,15 +125,24 @@ def test_modulus_validation():
 
 
 def test_factor_does_not_recertify_primes(monkeypatch):
-    # trial division already proved every prime it returns, so the result
-    # is built without a second primality pass; Modulus(...) still checks
-    def refuse(k):
-        raise AssertionError(f"is_prime({k}) called again")
+    # every prime is proved once: trial division proves those it finds and
+    # is_prime the prime cofactor left when the table of primes below 1000
+    # runs out, and the result is built without a second primality pass;
+    # Modulus(...) still checks
+    calls = []
 
-    monkeypatch.setattr(modarith, "is_prime", refuse)
+    def counted(k):
+        calls.append(k)
+        return is_prime(k)
+
+    monkeypatch.setattr(modarith, "is_prime", counted)
     mod = factor_squarefree(35 * 999999999989)
     assert isinstance(mod, Modulus)
     assert mod == (35 * 999999999989, (5, 7, 999999999989))
+    assert calls == [999999999989]
+    # the table's d*d > rem stop proves a cofactor below 997**2 prime
+    assert factor_squarefree(35 * 40009) == (35 * 40009, (5, 7, 40009))
+    assert calls == [999999999989]
     monkeypatch.undo()
     with pytest.raises(ValueError):
         Modulus(21, (1, 21))
@@ -268,6 +298,18 @@ def test_factor_matches_sympy_around_the_prime_table_end(small, near_end, near_b
 def test_factor_names_a_squared_prime_near_the_table_end(seed, others):
     [p] = _primes_from([seed])
     _factor_as_sympy_says(p * p * prod(set(_primes_from(others)) - {p}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from((5, 7, 11, 997, 1009)), max_size=2, unique=True),
+    st.integers(10**12 - 10**5, 10**12 + 10**5),
+    st.booleans(),
+)
+def test_factor_matches_sympy_at_cofactors_near_10_12(small, seed, next_prime):
+    # a cofactor near 10**12, the least prime at or above seed or seed itself
+    [q] = _primes_from([seed]) if next_prime else [seed]
+    _factor_as_sympy_says(prod(small) * q)
 
 
 @given(st.integers(20_000, 59_999))

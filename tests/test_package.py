@@ -25,7 +25,7 @@ EXPORTS = {
         "matrix_to_document", "read_matrix", "save_matrix",
     ],
     "modarith": ["Modulus", "factor_squarefree", "is_prime", "mod_inverse", "mod_pow"],
-    "polyring": ["Poly", "coeffs_divisible", "divide_coeffs", "parse_poly"],
+    "polyring": ["Poly", "divide_coeffs", "parse_poly"],
     "quadcong": [
         "FormulaEntry", "FormulaReport", "TraceCandidateSet", "closed_form_trace_solutions",
         "formula_discrepancy_survey", "trace_candidates",

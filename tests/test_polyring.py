@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idemring.errors import ModulusMismatch, NotConstant, PolyParseError, UnsatisfiableParams
-from idemring.polyring import MAX_GENERATE_DEGREE, Poly, coeffs_divisible, divide_coeffs, parse_poly
+from idemring.polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs, parse_poly
 
 N = 105
 
@@ -142,8 +142,6 @@ def test_parse_degree_limit_comes_before_the_dense_list():
 
 def test_divisibility_helpers():
     a = P(0, 15, 30)
-    assert coeffs_divisible(a, 15)
-    assert not coeffs_divisible(a, 7)
     assert divide_coeffs(a, 15) == P(0, 1, 2)
     with pytest.raises(ValueError):
         divide_coeffs(P(1, 15), 15)
