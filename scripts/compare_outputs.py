@@ -5,7 +5,8 @@
 
 For each checkout one child interpreter imports idemring from the
 checkout's src/ and calls `idemring.cli.main` in process over a fixed argv
-list, recording a digest of each call's stdout, stderr and exit code.  The
+list, writing each call's stdout, stderr and exit code as one JSON line
+to a temporary file; the two files are then compared line by line.  The
 list covers every verb, in text and with --json where the verb has it;
 help; a set of usage and coded errors; generate with explicit --e, --f
 and --g (an f that meets the side condition, one that does not, a g that
@@ -22,11 +23,13 @@ that reads it, also with --swap-roles for detpair-mixed, and as --scale
 of det0-scaled, each --out file classified back in text and --json.
 
 Every argv whose stdout, stderr or exit code differs is printed with the
-parts that differ; the exit code is 1 when any differs, else 0.  Each child
-runs with -B, COLUMNS=80 (argparse wraps help to the terminal width) and
-its own temporary working directory, where generate writes its files, so
-nothing is written into either checkout; the malformed documents are
-written there too.  Standard library only.
+parts that differ, and under it the first differing line of each such
+part, the parent's and then the change's; the exit code is 1 when any
+differs, else 0.  Each child runs with -B, COLUMNS=80 (argparse wraps
+help to the terminal width) and its own temporary working directory,
+where generate writes its files, so nothing is written into either
+checkout; the malformed documents are written there too.  Standard
+library only.
 """
 
 import argparse
@@ -35,7 +38,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import compress, product
+from itertools import compress, product, zip_longest
 from math import prod
 from pathlib import Path
 
@@ -51,13 +54,12 @@ FAMILIES = (
 )
 
 CHILD = """
-import hashlib, io, json, sys
+import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 
 sys.path.insert(0, sys.argv[1])
 from idemring.cli import main
 
-digests = []
 with open(sys.argv[2]) as fp:
     argvs = json.load(fp)
 for argv in argvs:
@@ -69,9 +71,7 @@ for argv in argvs:
             code = exc.code
         except Exception as exc:
             code = f"{type(exc).__name__}: {exc}"
-    parts = (out.getvalue(), err.getvalue(), repr(code))
-    digests.append([hashlib.sha256(part.encode()).hexdigest()[:16] for part in parts])
-print(json.dumps(digests))
+    print(json.dumps((out.getvalue(), err.getvalue(), repr(code))))
 """
 
 PARTS = ("stdout", "stderr", "exit")
@@ -244,10 +244,21 @@ def argv_list(max_n: int) -> list[list[str]]:
     return out
 
 
-def digests(checkout: Path, argvs: list[list[str]]) -> list[list[str]]:
+def first_difference(a: str, b: str) -> tuple[int, str, str]:
+    """1-based number of the first line where a and b differ, and that line
+    of each; a text that ends before it shows "(no line)"."""
+    k, pair = next(
+        (k, pair) for k, pair in enumerate(zip_longest(a.split("\n"), b.split("\n")), 1) if pair[0] != pair[1]
+    )
+    return k, *("(no line)" if line is None else line for line in pair)
+
+
+def outputs(checkout: Path, argvs: list[list[str]], out: Path) -> None:
+    """Write to out one JSON line (stdout, stderr, repr of the exit code) per
+    argv, from a child interpreter that runs the CLI on checkout's src/."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["COLUMNS"] = "80"
-    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp, out.open("w") as fp:
         # the argv list goes through a file: it is too long for a command line
         listing = Path(tmp) / "argv.json"
         listing.write_text(json.dumps(argvs))
@@ -255,11 +266,10 @@ def digests(checkout: Path, argvs: list[list[str]]) -> list[list[str]]:
             (Path(tmp) / f"malformed-{k}.json").write_bytes(text)
         proc = subprocess.run(
             [sys.executable, "-B", "-c", CHILD, str(checkout.resolve() / "src"), str(listing)],
-            env=env, cwd=tmp, capture_output=True, text=True,
+            env=env, cwd=tmp, stdout=fp, stderr=subprocess.PIPE, text=True,
         )
     if proc.returncode != 0:
         sys.exit(f"error: {checkout}: the child exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
 
 
 def main() -> None:
@@ -269,13 +279,20 @@ def main() -> None:
     ap.add_argument("--max-n", type=int, default=3000, help="largest n of the idempotents/solve-trace sweep")
     args = ap.parse_args()
     argvs = argv_list(args.max_n)
-    parent, change = digests(args.parent, argvs), digests(args.change, argvs)
     differ = 0
-    for argv, p, c in zip(argvs, parent, change):
-        parts = [name for name, a, b in zip(PARTS, p, c) if a != b]
-        if parts:
-            differ += 1
-            print(f"differs ({', '.join(parts)}): {' '.join(argv)}")
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        files = Path(tmp) / "parent.jsonl", Path(tmp) / "change.jsonl"
+        for checkout, out in zip((args.parent, args.change), files):
+            outputs(checkout, argvs, out)
+        with files[0].open() as parent, files[1].open() as change:
+            for argv, p, c in zip(argvs, map(json.loads, parent), map(json.loads, change)):
+                parts = [(name, a, b) for name, a, b in zip(PARTS, p, c) if a != b]
+                if parts:
+                    differ += 1
+                    print(f"differs ({', '.join(name for name, _, _ in parts)}): {' '.join(argv)}")
+                    for name, a, b in parts:
+                        line, old, new = first_difference(a, b)
+                        print(f"  {name} line {line}:\n    parent: {old}\n    change: {new}")
     print(f"compared {len(argvs)} argv: {differ} differ")
     sys.exit(1 if differ else 0)
 

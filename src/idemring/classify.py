@@ -256,11 +256,8 @@ def _match_template(G, tpl):
     e_off = [(G.e.coeff(0) - u) % n, *G.e.coeffs[1:]]
     if any(c % sigma for cs in (e_off, G.f.coeffs, G.g.coeffs) for c in cs):
         return None
-    if family == DET0_GENERAL:
+    if family in (DET0_GENERAL, DET0_SCALED):
         return {"e": G.e, "f": G.f, "g": G.g}
-    if family == DET0_SCALED:
-        # G*G = G gives e*e + f*g = e, so the side quotient k of e(1-e) - g*f is zero
-        return {"e": G.e, "f": G.f, "g": G.g, "k": Poly(n, ())}
     if family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         return {}
     e, f, g = (Poly(n, [c // sigma for c in cs]) for cs in (e_off, G.f.coeffs, G.g.coeffs))

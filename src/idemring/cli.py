@@ -169,8 +169,8 @@ def _cmd_idempotents(args) -> int:
             "primes": list(mod.primes),
             "idempotents": list(idems),
             "cross_check": [
-                {"pattern": list(p), "crt": c, "formula": f, "value": v, "match": ok}
-                for p, c, f, v, ok in cross
+                {"pattern": list(p), "crt": c, "formula": f, "value": v}
+                for p, c, f, v in cross
             ],
             "exponent_variants": [
                 {
@@ -190,9 +190,8 @@ def _cmd_idempotents(args) -> int:
     print(f"idempotents ({len(idems)}): " + " ".join(str(y) for y in idems))
     if cross:
         print("closed-form cross-check:")
-        for pat, via_crt, text, value, ok in cross:
-            mark = "ok " if ok else "BAD"
-            print(f"  {mark} pattern {pat}: crt {via_crt}  formula {text} = {value}")
+        for pat, via_crt, text, value in cross:
+            print(f"  pattern {pat}: crt {via_crt}  formula {text} = {value}")
         print("exponent-variant check:")
         for r in variants:
             verdict = "agrees" if r.agrees else "DIFFERS"

@@ -105,13 +105,16 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
 
 
 def closed_form_cross_check(mod: Modulus) -> list[tuple]:
-    """(pattern, CRT value, formula text, formula value, agree) for the 8 patterns."""
+    """(pattern, CRT value, formula text, formula value) for the 8 patterns.
+
+    The CRT value is computed apart from the formula; euler_closed_form
+    raises InternalTheoremViolation before any row could disagree.
+    """
     basis = crt_basis(mod)
     rows = []
     for pat in product((0, 1), repeat=3):
         value, text = euler_closed_form(mod, pat)
-        via_crt = sum(map(mul, pat, basis)) % mod.n
-        rows.append((pat, via_crt, text, value, value == via_crt))
+        rows.append((pat, sum(map(mul, pat, basis)) % mod.n, text, value))
     return rows
 
 
@@ -127,10 +130,9 @@ def exponent_variant_check(mod: Modulus) -> list[ExponentVariantRow]:
     largest prime, also evaluate the same base raised to (largest prime - 1).
     The variant agrees exactly when the multiplicative order of a*b modulo s
     divides it, which fails for some moduli, so both values are reported
-    side by side instead of being assumed equal.
+    side by side instead of being assumed equal.  euler_closed_form
+    raises WrongPrimeCount unless mod has exactly three primes.
     """
-    if mod.m != 3:
-        raise WrongPrimeCount(f"need exactly 3 prime factors, got {mod.m}")
     rows = []
     r_max = mod.primes[-1]
     for pat in ((0, 1, 0), (1, 0, 0)):

@@ -209,9 +209,9 @@ def test_generate_draws_nothing_when_every_parameter_is_given(monkeypatch):
             assert label in classify(G, mod).matches
 
 
-def test_det0_scaled_witness_k_is_zero(mod385):
-    # classify reports k = 0 without computing it: for an idempotent G,
-    # G*G = G gives e*e + f*g = e, so e(1-e) - g*f vanishes
+def test_det0_scaled_witness_is_the_undivided_entries(mod385):
+    # like det0-general, det0-scaled reports G's own entries and no side
+    # quotient: G*G = G gives e*e + f*g = e, so e(1-e) - g*f vanishes
     rng = random.Random(5)
     for label in (tpl.label for tpl in template_table(mod385).values()):
         if label.family != DET0_SCALED:
@@ -220,7 +220,7 @@ def test_det0_scaled_witness_k_is_zero(mod385):
             G = generate(mod385, label, rng=rng, max_degree=degree)
             assert G.e * (1 - G.e) - G.g * G.f == Poly(385, ())
             (wit,) = classify(G, mod385).witnesses
-            assert wit["k"] == Poly(385, ())
+            assert wit == {"e": G.e, "f": G.f, "g": G.g}
 
 
 def test_generate_det0_general_frozen(mod385):

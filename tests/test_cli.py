@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idemring
-from idemring import cli
+from idemring import cli, verify, znring
 from idemring.cli import _dumps, build_parser, main, parse_args
+from idemring.errors import InternalTheoremViolation
 from idemring.mat2 import Mat2Poly, matrix_from_document
 from idemring.modarith import is_prime
 
@@ -64,7 +65,25 @@ def test_idempotents_json(capsys):
     rc, out, _ = run(capsys, "idempotents", "105", "--json")
     doc = json.loads(out)
     assert doc["idempotents"] == [0, 1, 15, 21, 36, 70, 85, 91]
-    assert all(row["match"] for row in doc["cross_check"])
+    # each row shows the CRT value beside the formula's, and no verdict:
+    # a formula that misses its CRT value raises before any row is printed
+    assert len(doc["cross_check"]) == 8
+    for row in doc["cross_check"]:
+        assert set(row) == {"crt", "formula", "pattern", "value"}
+        assert row["crt"] == row["value"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["idempotents", "385"], ["idempotents", "385", "--json"], ["verify", "385", "--budget", "0"]],
+    ids=["text", "json", "verify"],
+)
+def test_a_wrong_closed_form_raises_out_of_the_cli(monkeypatch, argv):
+    # a power function off by one makes every closed form miss its CRT value
+    power = znring.mod_pow
+    monkeypatch.setattr(znring, "mod_pow", lambda a, k, n: (power(a, k, n) + 1) % n)
+    with pytest.raises(InternalTheoremViolation):
+        main(argv)
 
 
 def test_domain_error_exit_code(capsys):
@@ -275,6 +294,14 @@ def test_verify_small_budget(capsys):
     assert "verify:" in out
     assert "FAIL" not in out
     assert "skipped" in out
+
+
+def test_verify_counts_distinct_idempotents(monkeypatch, mod385):
+    # one sum per 0/1 pattern is 2^m sums even when two of them collide
+    idems = verify.enumerate_idempotents(mod385)
+    monkeypatch.setattr(verify, "enumerate_idempotents", lambda mod: (idems[0], *idems[:-1]))
+    checks = {name: (ok, detail) for name, ok, detail in verify.run_checks(mod385, 0)}
+    assert checks["idempotent-count"] == (False, "7 = 2^3")
 
 
 def test_verify_non_matrix_modulus(capsys):

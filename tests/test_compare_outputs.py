@@ -1,3 +1,4 @@
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -5,6 +6,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
 
 
 def _tree(root: Path) -> dict:
@@ -16,6 +20,25 @@ def _compare(parent: Path, change: Path) -> subprocess.CompletedProcess:
         [sys.executable, str(SCRIPT), str(parent), str(change), "--max-n", "40"],
         capture_output=True, text=True, timeout=120,
     )
+
+
+def _report(stdout: str) -> tuple[dict, str]:
+    """{each `differs` line: the detail lines under it} and the summary line."""
+    *body, summary = stdout.splitlines()
+    report = {}
+    for line in body:
+        if line.startswith("differs "):
+            report[line] = details = []
+        else:
+            details.append(line)
+    return report, summary
+
+
+def test_first_difference_numbers_lines_from_one_and_marks_a_missing_line():
+    first_difference = compare_outputs.first_difference
+    assert first_difference("a\nb\n", "a\nc\n") == (2, "b", "c")
+    assert first_difference("a\n", "a\nb\n") == (2, "", "b")
+    assert first_difference("a", "a\n") == (2, "(no line)", "")
 
 
 def test_the_repo_against_itself():
@@ -36,11 +59,15 @@ def test_a_changed_line_of_text_output_is_reported(tmp_path):
     quadcong.write_text(text.replace('f"discrepancies: {', 'f"discrepancy count: {'))
     proc = _compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stderr
-    *differ, summary = proc.stdout.splitlines()
+    report, summary = _report(proc.stdout)
+    differ = list(report)
     assert summary.endswith(f" argv: {len(differ)} differ")
-    # only the text report of the closed-form catalogue prints that line
-    assert "differs (stdout): solve-trace 385 210" in differ
-    assert "differs (stdout): solve-trace 30 6" in differ
+    # only the text report of the closed-form catalogue prints that line,
+    # and the report shows it as the parent and the change print it
+    for argv in ("solve-trace 385 210", "solve-trace 30 6"):
+        [where, parent, change] = report[f"differs (stdout): {argv}"]
+        assert where.startswith("  stdout line ") and where.endswith(":")
+        assert (parent, change) == ("    parent: discrepancies: 0", "    change: discrepancy count: 0")
     # the large moduli past --max-n run too: trace-largeprime's 5*7*p, two
     # primes above 1000, and a prime cofactor near 10**12
     for n in (35 * 20011, 35 * 40009, 35 * 59999, 5 * 1009 * 1013, 35 * 999999999989):
@@ -57,11 +84,15 @@ def test_a_reworded_decoder_message_is_reported(tmp_path):
     mat2.write_text(text.replace('"trailing zero coefficients are forbidden"', '"trailing zeros are forbidden"'))
     proc = _compare(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stderr
-    *differ, summary = proc.stdout.splitlines()
+    report, summary = _report(proc.stdout)
     assert summary.endswith(" argv: 4 differ")
     # two malformed documents fail on a trailing zero, one of them before
     # its next entry's string coefficient is read; classify prints the
     # message on stderr, in text and with --json
-    assert sorted(differ) == sorted(
+    assert sorted(report) == sorted(
         f"differs (stderr): classify malformed-{k}.json{flag}" for k in (20, 21) for flag in ("", " --json")
     )
+    for where, parent, change in report.values():
+        assert where == "  stderr line 1:"
+        assert parent.startswith("    parent: error: ") and parent.endswith("trailing zero coefficients are forbidden")
+        assert change.startswith("    change: error: ") and change.endswith("trailing zeros are forbidden")

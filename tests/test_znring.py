@@ -81,6 +81,11 @@ def test_euler_wrong_prime_count():
         euler_closed_form(Modulus(105, (3, 5, 7)), (0, 2, 1))
 
 
+def test_exponent_variant_wrong_prime_count():
+    with pytest.raises(WrongPrimeCount, match=r"^need exactly 3 prime factors, got 2$"):
+        exponent_variant_check(Modulus(35, (5, 7)))
+
+
 def test_exponent_variant_rows(mod105, mod385):
     # at 105 both variants coincide with the canonical formula
     assert all(r.agrees for r in exponent_variant_check(mod105))
