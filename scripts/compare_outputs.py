@@ -11,10 +11,11 @@ list covers every verb, in text and with --json where the verb has it;
 help; a set of usage and coded errors; generate with explicit --e, --f
 and --g (an f that meets the side condition, one that does not, a g that
 is not a unit constant mod the side) and at --degree 20; generate --out
-files classified back; classify, text and --json, on a fixed set of
-malformed matrix documents (MALFORMED_DOCUMENTS); `idempotents n --json`
-and `solve-trace n d`, text and --json, for each idempotent d of a fixed
-list of large moduli (LARGE_MODULI); and
+files classified back; verify with checks skipped over its --budget;
+classify, text and --json, on a fixed set of malformed matrix documents
+(MALFORMED_DOCUMENTS); `idempotents n --json` and `solve-trace n d`, text
+and --json, for each idempotent d of a fixed list of large moduli
+(LARGE_MODULI); and
 `idempotents n` and `solve-trace n d` for each squarefree n <= N
 (default 3000) and each idempotent d of Z_n.  For each such n that
 is p*q*r with primes > 3 (61 of them up to 3000) it also runs generate
@@ -187,6 +188,14 @@ def argv_list(max_n: int) -> list[list[str]]:
     out += [["solve-trace", "385", "210"], ["solve-trace", "385", "595", "--json"], ["solve-trace", "35", "15"]]
     for n in ("35", "105"):
         out += [["oracle", n], ["oracle", n, "--json"], ["verify", n], ["verify", n, "--json"]]
+    # verify's skipped checks: every scan over the budget, the matrix sweep
+    # alone, and the range scans of a modulus above 10^6
+    out += [
+        ["verify", "385", "--budget", "0"],
+        ["verify", "385", "--budget", "0", "--json"],
+        ["verify", "930930", "--budget", "200000"],
+        ["verify", "35000105", "--budget", "1000"],
+    ]
     for family in FAMILIES:
         for n, seed in (("385", "0"), ("385", "1"), ("455", "2")):
             path = f"{family}-{n}-{seed}.json"

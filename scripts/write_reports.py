@@ -5,8 +5,8 @@ For each modulus the eight printed closed-form solutions of
 t^2 = t + 2d (mod n) are checked for every nontrivial idempotent d
 against the scan-backed solver (reports/trace-formulas-<n>.{txt,json}).
 Moduli with three distinct primes, all greater than 3, and n^3 within
-the default matrix budget (n <= 500) also get every constant idempotent
-matrix of M2(Z_n) classified and tallied
+the one default brute-force budget (DEFAULT_BUDGET, so n <= 500) also get
+every constant idempotent matrix of M2(Z_n) classified and tallied
 (reports/completeness-<n>.{txt,json}); the tally's run time goes to
 stdout only, so the archived files are deterministic.
 """

@@ -28,7 +28,7 @@ _HOME = {
             "DETPAIR_SHIFT",
             "DETSINGLE_SCALAR",
             "DETSINGLE_SHIFT",
-            "DEFAULT_MATRIX_BUDGET",
+            "DEFAULT_BUDGET",
             "FAMILIES",
         ),
         "families",
@@ -78,7 +78,6 @@ _HOME = {
     ),
     **dict.fromkeys(
         (
-            "DEFAULT_POLY_BUDGET",
             "MAX_ENUMERATED_PRIMES",
             "ExponentVariantRow",
             "enumerate_idempotents",

@@ -44,15 +44,15 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import (
-    BudgetExceeded,
     InternalTheoremViolation,
     ModulusMismatch,
     NotConstant,
     PrimesOutOfScope,
     UnsatisfiableParams,
+    charge,
 )
 from .families import (
-    DEFAULT_MATRIX_BUDGET,
+    DEFAULT_BUDGET,
     DET0_GENERAL,
     DET0_SCALED,
     DETPAIR_MIXED,
@@ -106,8 +106,7 @@ def require_classification_scope(mod: Modulus) -> None:
 
 def require_matrix_budget(mod: Modulus, budget: int) -> None:
     """Charge a sweep over the constant matrices of M2(Z_n) its n**3 states."""
-    if mod.n**3 > budget:
-        raise BudgetExceeded(f"{mod.n}^3 states exceed budget {budget}")
+    charge(mod.n**3, budget, f"{mod.n}^3 states")
 
 
 # --- the template table ------------------------------------------------
@@ -521,7 +520,7 @@ class CompletenessReport(
         return "\n".join(lines)
 
 
-def completeness_check(mod: Modulus, budget: int = DEFAULT_MATRIX_BUDGET) -> CompletenessReport:
+def completeness_check(mod: Modulus, budget: int = DEFAULT_BUDGET) -> CompletenessReport:
     """Classify every constant idempotent matrix and tally the outcome.
 
     The expectation, checked by the acceptance suite, is that every

@@ -37,6 +37,12 @@ class BudgetExceeded(IdemringError):
     """A brute-force scan would exceed the configured state budget."""
 
 
+def charge(states: int, budget: int, what: str) -> None:
+    """Raise BudgetExceeded, naming the states as what, when states exceed budget."""
+    if states > budget:
+        raise BudgetExceeded(f"{what} exceed budget {budget}")
+
+
 class ModulusMismatch(IdemringError):
     """Operands live over different moduli."""
 

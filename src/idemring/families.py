@@ -1,8 +1,8 @@
-"""The seven template family names and the default budget of a matrix sweep.
+"""The seven template family names and the default brute-force state budget.
 
 ``classify`` reads them from here, and so does the command line's grammar
-(``generate``'s choices, ``oracle``'s ``--budget`` default), which can then
-offer them without loading the classifier.
+(``generate``'s choices, the ``--budget`` default of ``oracle`` and
+``verify``), which can then offer them without loading the classifier.
 """
 
 DET0_GENERAL = "det0-general"
@@ -23,4 +23,4 @@ FAMILIES = (
     DETSINGLE_SHIFT,
 )
 
-DEFAULT_MATRIX_BUDGET = 125_000_000  # n**3 states, i.e. n <= 500
+DEFAULT_BUDGET = 125_000_000  # states of any brute-force scan; a matrix sweep's n**3 fits for n <= 500

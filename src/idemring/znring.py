@@ -6,10 +6,9 @@ from itertools import product
 from math import prod
 from operator import mul
 
-from .errors import BudgetExceeded, InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
+from .errors import BudgetExceeded, InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount, charge
+from .families import DEFAULT_BUDGET
 from .modarith import Modulus, crt_basis, mod_pow
-
-DEFAULT_POLY_BUDGET = 2_000_000
 
 # Most prime factors m whose 2**m idempotents or trace solutions are
 # enumerated.  The slowest call it admits, `idempotents` at m = 16, took
@@ -148,7 +147,7 @@ def exponent_variant_check(mod: Modulus) -> list[ExponentVariantRow]:
 
 
 def poly_idempotents_bruteforce(
-    mod: Modulus, max_degree: int, budget: int = DEFAULT_POLY_BUDGET
+    mod: Modulus, max_degree: int, budget: int = DEFAULT_BUDGET
 ) -> "list[Poly]":
     """Every u in Z_n[x] of degree <= max_degree with u*u = u, by full scan.
 
@@ -164,8 +163,7 @@ def poly_idempotents_bruteforce(
         raise ValueError("max_degree must be non-negative")
     n = mod.n
     states = n ** (max_degree + 1)
-    if states > budget:
-        raise BudgetExceeded(f"{states} candidate vectors exceed budget {budget}")
+    charge(states, budget, f"{states} candidate vectors")
     width = max_degree + 1
     cs = [0] * width
     found: list[Poly] = []
@@ -183,10 +181,16 @@ def poly_idempotents_bruteforce(
             if cand * cand == cand:
                 found.append(cand)
             return
-        for c in range(n):
+        # the k-th equation reads c*c = c at k = 0 and, with cs[k] still 0,
+        # 2*c_0*c + square_coeff(k) = c above: one product per candidate c
+        if k == 0:
+            survivors = (c for c in range(n) if (c * c - c) % n == 0)
+        else:
+            slope, rest = 2 * cs[0] - 1, square_coeff(k)
+            survivors = (c for c in range(n) if (slope * c + rest) % n == 0)
+        for c in survivors:
             cs[k] = c
-            if (square_coeff(k) - c) % n == 0:
-                walk(k + 1)
+            walk(k + 1)
         cs[k] = 0
 
     walk(0)

@@ -291,9 +291,69 @@ def test_verify_small_budget(capsys):
     # a small budget skips the heavy matrix scan but all light checks pass
     rc, out, _ = run(capsys, "verify", "385", "--budget", "200000")
     assert rc == 0
-    assert "verify:" in out
     assert "FAIL" not in out
-    assert "skipped" in out
+    lines = out.splitlines()
+    assert "skip matrix-completeness: BudgetExceeded: 385^3 states exceed budget 200000" in lines
+    assert lines[-1] == "verify: 8/8 checks passed, 1 skipped"
+
+
+_SKIPPED_AT_ZERO = ["full-scan", "trace-solver-scan", "poly-scan", "matrix-completeness"]
+
+
+def test_verify_counts_a_skip_apart_from_a_pass(capsys):
+    # at budget 0 four of 385's nine checks do not run: they are neither passed nor failed
+    rc, out, err = run(capsys, "verify", "385", "--budget", "0")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    skips = [l.split(":")[0] for l in lines if l.startswith("skip ")]
+    assert skips == [f"skip {name}" for name in _SKIPPED_AT_ZERO]
+    assert "skip poly-scan: BudgetExceeded: 385 candidate vectors exceed budget 0" in lines
+    assert lines[-1] == "verify: 5/5 checks passed, 4 skipped"
+    rc, out, err = run(capsys, "verify", "385", "--budget", "0", "--json")
+    doc = json.loads(out)
+    assert rc == 0 and err == ""
+    assert [c["name"] for c in doc["checks"] if c["ok"] is None] == _SKIPPED_AT_ZERO
+    assert all(c["ok"] is True for c in doc["checks"] if c["name"] not in _SKIPPED_AT_ZERO)
+    assert (doc["passed"], doc["total"], doc["skipped"]) == (5, 5, 4)
+
+
+def test_verify_trace_closed_forms_can_fail(monkeypatch, capsys, mod385):
+    # one closed-form expression outside the solver's set makes the row fail
+    solve = verify.closed_form_trace_solutions
+
+    def one_discrepancy(mod, d):
+        report = solve(mod, d)
+        if d != verify.nontrivial_idempotents(mod)[0]:
+            return report
+        first, *rest = report.entries
+        return report._replace(entries=[first._replace(in_solution_set=False), *rest])
+
+    monkeypatch.setattr(verify, "closed_form_trace_solutions", one_discrepancy)
+    checks = {name: (ok, detail) for name, ok, detail in verify.run_checks(mod385, 0)}
+    assert checks["trace-closed-forms"] == (False, "48 expressions evaluated, 1 discrepancies")
+    rc, out, _ = run(capsys, "verify", "385", "--budget", "0")
+    assert rc == 1
+    assert "FAIL trace-closed-forms: 48 expressions evaluated, 1 discrepancies" in out.splitlines()
+    assert out.splitlines()[-1] == "verify: 4/5 checks passed, 4 skipped"
+
+
+@pytest.mark.parametrize("n, det", [(385, 210), (30, 15), (30, 0)])
+def test_verify_solver_scan_catches_a_missing_trace(monkeypatch, capsys, n, det):
+    # the one pass over [0, n) checks every det's solutions; at the even n = 30
+    # the idempotents 0 and 15 share 2d = 0, so both read one list of the scan
+    rc, out, _ = run(capsys, "verify", str(n), "--budget", str(n))
+    assert rc == 0
+    assert "ok   trace-solver-scan: 8 determinants checked" in out.splitlines()
+    solve = verify.trace_candidates
+
+    def one_short(mod, d):
+        cands = solve(mod, d)
+        return cands._replace(solutions=cands.solutions[1:]) if d == det else cands
+
+    monkeypatch.setattr(verify, "trace_candidates", one_short)
+    rc, out, _ = run(capsys, "verify", str(n), "--budget", str(n))
+    assert rc == 1
+    assert "FAIL trace-solver-scan: 8 determinants checked" in out.splitlines()
 
 
 def test_verify_counts_distinct_idempotents(monkeypatch, mod385):
@@ -418,8 +478,8 @@ def test_verify_large_prime_factor_is_bounded():
     rc, out, err, wall = run_fresh("verify", str(BIG_N), "--budget", "1000", timeout=10)
     assert rc == 0 and err == "" and wall < 2.0
     lines = out.splitlines()
-    assert any(l.startswith("ok   poly-scan: skipped: BudgetExceeded: ") for l in lines)
-    assert lines[-1] == "verify: 7/7 checks passed"
+    assert any(l.startswith("skip poly-scan: BudgetExceeded: ") for l in lines)
+    assert lines[-1] == "verify: 5/5 checks passed, 4 skipped"
 
 
 def _first_primes_above_3(count):
@@ -448,14 +508,33 @@ def test_many_primes_exceed_the_enumeration_limit(capsys, argv):
 
 
 def test_verify_budget_covers_the_range_scans(capsys):
-    # full-scan (n states) and trace-solver-scan (n * 2^7) once ignored it: 13.7 s
+    # full-scan and trace-solver-scan share one pass over [0, n), charged n
+    # states; the scans once ignored the budget: 13.7 s
     start = time.perf_counter()
     rc, out, err = run(capsys, "verify", "510510", "--budget", "0")
     assert time.perf_counter() - start < 1.0
     assert rc == 0 and err == ""
     lines = out.splitlines()
-    assert "ok   full-scan: skipped: BudgetExceeded: 510510 scan states exceed budget 0" in lines
-    assert "ok   trace-solver-scan: skipped: BudgetExceeded: 65345280 scan states exceed budget 0" in lines
+    assert "skip full-scan: BudgetExceeded: 510510 scan states exceed budget 0" in lines
+    assert "skip trace-solver-scan: BudgetExceeded: 510510 scan states exceed budget 0" in lines
+
+
+def test_verify_reports_the_range_scans_above_a_million(capsys):
+    # 5 * 7 * 1000003: no size limit drops the rows, only the budget skips them
+    rc, out, err = run(capsys, "verify", "35000105", "--budget", "1000")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    for name in ("full-scan", "trace-solver-scan"):
+        assert f"skip {name}: BudgetExceeded: 35000105 scan states exceed budget 1000" in lines
+
+
+def test_default_verify_scans_the_range_once():
+    # 2^7 idempotents: the two range checks once scanned [0, n) 129 times (about 19 s)
+    rc, out, err, wall = run_fresh("verify", "930930")
+    assert rc == 0 and err == "" and wall < 2.0
+    lines = out.splitlines()
+    assert "ok   full-scan: scan found 128 idempotents" in lines
+    assert "ok   trace-solver-scan: 128 determinants checked" in lines
 
 
 def test_verify_at_fourteen_primes_answers_in_time(capsys):

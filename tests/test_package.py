@@ -15,7 +15,7 @@ import idemring
 EXPORTS = {
     "classify": [
         "DET0_GENERAL", "DET0_SCALED", "DETPAIR_MIXED", "DETPAIR_SCALAR", "DETPAIR_SHIFT",
-        "DETSINGLE_SCALAR", "DETSINGLE_SHIFT", "DEFAULT_MATRIX_BUDGET", "FAMILIES",
+        "DETSINGLE_SCALAR", "DETSINGLE_SHIFT", "DEFAULT_BUDGET", "FAMILIES",
         "ClassificationReport", "ClassLabel", "CompletenessReport", "classify", "completeness_check",
         "expected_trace_values", "generate", "iter_constant_idempotent_entries", "make_label",
         "validate_label",
@@ -31,9 +31,8 @@ EXPORTS = {
         "formula_discrepancy_survey", "trace_candidates",
     ],
     "znring": [
-        "DEFAULT_POLY_BUDGET", "MAX_ENUMERATED_PRIMES", "ExponentVariantRow", "enumerate_idempotents",
-        "euler_closed_form", "exponent_variant_check", "nontrivial_idempotents", "pattern_of",
-        "poly_idempotents_bruteforce",
+        "MAX_ENUMERATED_PRIMES", "ExponentVariantRow", "enumerate_idempotents", "euler_closed_form",
+        "exponent_variant_check", "nontrivial_idempotents", "pattern_of", "poly_idempotents_bruteforce",
     ],
 }
 

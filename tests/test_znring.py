@@ -148,8 +148,11 @@ def test_poly_bruteforce_matches_literal_scan():
 
 
 def test_poly_bruteforce_budget(mod105):
-    with pytest.raises(BudgetExceeded):
-        poly_idempotents_bruteforce(mod105, 3)
+    # 105^4 candidate vectors fit the default budget; 105^5 do not
+    with pytest.raises(BudgetExceeded, match=r"^12762815625 candidate vectors exceed budget 125000000$"):
+        poly_idempotents_bruteforce(mod105, 4)
+    with pytest.raises(BudgetExceeded, match=r"^121550625 candidate vectors exceed budget 1000$"):
+        poly_idempotents_bruteforce(mod105, 3, budget=1000)
 
 
 def test_enumeration_limit_is_on_the_prime_count(monkeypatch):
