@@ -10,8 +10,9 @@ to a temporary file; the two files are then compared line by line.  The
 list covers every verb, in text and with --json where the verb has it;
 help; a set of usage and coded errors; generate with explicit --e, --f
 and --g (an f that meets the side condition, one that does not, a g that
-is not a unit constant mod the side) and at --degree 20; generate --out
-files classified back; verify with checks skipped over its --budget;
+is not a unit constant mod the side), at --degree 20, and at --degree 1000
+for det0-general and detpair-shift over 385 and 5*7*999999999989;
+generate --out files classified back; verify with checks skipped over its --budget;
 classify, text and --json, on a fixed set of malformed matrix documents
 (MALFORMED_DOCUMENTS); `idempotents n --json` and `solve-trace n d`, text
 and --json, for each idempotent d of a fixed list of large moduli
@@ -233,6 +234,14 @@ def argv_list(max_n: int) -> list[list[str]]:
         ]
     for k in range(len(MALFORMED_DOCUMENTS)):
         out += [["classify", f"malformed-{k}.json"], ["classify", f"malformed-{k}.json", "--json"]]
+    # at generate's degree limit, where products take the packed path
+    for family, n in product(("det0-general", "detpair-shift"), ("385", str(5 * 7 * 999999999989))):
+        path = f"{family}-{n}-degree-1000.json"
+        out += [
+            ["generate", family, "--n", n, "--degree", "1000", "--out", path],
+            ["classify", path],
+            ["classify", path, "--json"],
+        ]
     out += [
         ["generate", "det0-general", "--n", "385", "--e", "3 + 2*x + x^2", "--g", "1"],
         ["generate", "detpair-mixed", "--n", "385", "--swap-roles", "--seed", "5"],

@@ -38,7 +38,7 @@ import time
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from math import gcd
 from operator import mul
 from types import MappingProxyType
@@ -64,7 +64,7 @@ from .families import (
 )
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
 from .modarith import Modulus, crt_basis, mod_inverse
-from .polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs
+from .polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs, mul_coeffs
 from .znring import nontrivial_idempotents  # noqa: F401 (re-exported)
 
 
@@ -316,9 +316,10 @@ def _random_poly(rng: random.Random, n: int, max_degree: int) -> Poly:
     return Poly(n, coeffs)
 
 
-def _unit_constant_mod(gpoly: Poly, w: int):
-    """Value of gpoly mod w when it reduces to a unit constant, else None."""
-    reduced = [c % w for c in gpoly.coeffs]
+def _unit_constant_mod(cs, w: int):
+    """Value mod w of the polynomial with integer coefficients cs when it
+    reduces to a unit constant, else None."""
+    reduced = [c % w for c in cs]
     if any(reduced[1:]):
         return None
     g0 = reduced[0] if reduced else 0
@@ -327,27 +328,44 @@ def _unit_constant_mod(gpoly: Poly, w: int):
     return g0
 
 
-def _times(k: int, p: Poly) -> Poly:
-    """k * p, built from p's coefficients without coercing k to a Poly."""
-    return Poly(p.n, [k * c for c in p.coeffs])
+def _canonical(cs, n: int) -> list[int]:
+    """The integer coefficients cs reduced mod n, trailing zeros dropped."""
+    out = [c % n for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _is_const(cs, c: int, n: int) -> bool:
+    """Whether the integer coefficients cs are the constant c mod n."""
+    head, *tail = cs or [0]
+    return (head - c) % n == 0 and not any(x % n for x in tail)
 
 
 def _strided_matrix(tpl, e, f, g):
     """[[u + stride*e, stride*f], [stride*g, t - u - stride*e]] with det d.
 
-    The det condition leaves a residual divisible by the stride; f solves
-    stride * g * f = residual / stride modulo the side divisor.
+    e, f and g are integer coefficient lists, f None to have it solved:
+    the det condition leaves a residual divisible by the stride, and f
+    solves stride * g * f = residual / stride modulo the side divisor.
+    The entries stay canonical coefficient lists until the checked matrix
+    is wrapped in four Polys.  The check reads the template's own d and t:
+    det G = d (diag*h, computed once for the residual too, less
+    stride*f * stride*g), trace G = t, and then, by Cayley-Hamilton,
+    G*G = G exactly when (t - 1)*G = d*I, which for constant t and d is a
+    coefficientwise scaling.
     """
-    n, d, t, sigma, side = tpl.label.modulus, tpl.label.det, tpl.label.trace, tpl.stride, tpl.side
-    cs = [sigma * c for c in e.coeffs] or [0]
+    label = tpl.label
+    n, d, t, sigma, side = label.modulus, label.det, label.trace, tpl.stride, tpl.side
+    cs = [sigma * c for c in e] or [0]
     cs[0] += tpl.offset
-    diag = Poly(n, cs)
-    cs = [-c for c in diag.coeffs] or [0]
+    diag = _canonical(cs, n)
+    cs = [-c for c in diag] or [0]
     cs[0] += t
-    h = Poly(n, cs)
+    h = _canonical(cs, n)
     # diag * h - d, each coefficient congruent mod n (so mod the stride) to
     # the canonical one
-    residual = list((diag * h).coeffs) or [0]
+    residual = mul_coeffs(diag, h, n) or [0]
     residual[0] -= d
     if any(c % sigma for c in residual):
         raise InternalTheoremViolation("template residual not divisible by the stride")
@@ -356,12 +374,26 @@ def _strided_matrix(tpl, e, f, g):
         if g0 is None:
             raise UnsatisfiableParams(f"g must reduce to a unit constant mod {side} to solve for f")
         inv = mod_inverse(sigma * g0, side)
-        sigma_f = Poly(n, [sigma * (inv * (c // sigma) % side) for c in residual])
-    elif sigma * sigma * (f * g) != Poly(n, residual):
-        raise UnsatisfiableParams("parameters violate the determinant side condition")
+        sigma_f = _canonical([sigma * (inv * (c // sigma) % side) for c in residual], n)
     else:
-        sigma_f = _times(sigma, f)
-    return Mat2Poly(diag, sigma_f, _times(sigma, g), h)
+        sigma_f = _canonical([sigma * c for c in f], n)
+    sigma_g = _canonical([sigma * c for c in g], n)
+    # det G - d is the residual less stride*f * stride*g: for an explicit f
+    # its vanishing is the side condition, for a solved f a check of it
+    fg = mul_coeffs(sigma_f, sigma_g, n)
+    det_ok = _is_const([r - c for r, c in zip_longest(residual, fg, fillvalue=0)], 0, n)
+    if not det_ok and f is not None:
+        raise UnsatisfiableParams("parameters violate the determinant side condition")
+    s = t - 1
+    if not (
+        det_ok
+        and _is_const([a + b for a, b in zip_longest(diag, h, fillvalue=0)], t, n)
+        and _is_const([s * c for c in sigma_f + sigma_g], 0, n)
+        and _is_const([s * c for c in diag], d, n)
+        and _is_const([s * c for c in h], d, n)
+    ):
+        raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
+    return Mat2Poly(*(Poly._from_canonical(n, cs) for cs in (diag, sigma_f, sigma_g, h)))
 
 
 def generate(
@@ -407,19 +439,18 @@ def generate(
     fam, d = label.family, label.det
     if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         G = Mat2Poly.from_ints(n, d, 0, 0, d)
+        if not G.is_idempotent():
+            raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
     else:
         if e is None:
             e = _random_poly(random.Random(seed) if rng is None else rng, n, max_degree)
-        g = Poly.constant(n, 1) if g is None else g
+        params = [e.coeffs, None if f is None else f.coeffs, (1,) if g is None else g.coeffs]
         if fam == DET0_SCALED:
             # I * [[e, f], [g, 1-e]] is the strided matrix of k*e, k*f, k*g:
             # stride * k = I exactly, and stride * k = 1 (mod J)
             k = label.scale // tpl.stride
-            e, g = _times(k, e), _times(k, g)
-            f = None if f is None else _times(k, f)
-        G = _strided_matrix(tpl, e, f, g)
-    if not G.is_idempotent():
-        raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
+            params = [None if cs is None else [k * c for c in cs] for cs in params]
+        G = _strided_matrix(tpl, *params)
     if max(len(G.e.coeffs), len(G.f.coeffs), len(G.g.coeffs), len(G.h.coeffs)) > MAX_ENTRY_DEGREE + 1:
         raise InternalTheoremViolation(f"generated entry above the decoder's degree limit {MAX_ENTRY_DEGREE}")
     return G

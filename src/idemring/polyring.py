@@ -1,4 +1,10 @@
-"""Polynomials over Z_n as normalized little-endian coefficient tuples."""
+"""Polynomials over Z_n as normalized little-endian coefficient tuples.
+
+Every polynomial product in the library goes through one kernel,
+``mul_coeffs``: it multiplies two lists of residues and returns the exact
+integer coefficients, which its callers (``Poly.__mul__``, ``generate``'s
+matrix builder, the polynomial idempotent scan) reduce mod n.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +12,47 @@ import re
 
 from .errors import ModulusMismatch, NotConstant, PolyParseError, UnsatisfiableParams
 
-# The largest degree parse_poly returns and generate accepts for a parameter;
-# generate's products are quadratic in the degree, and at this bound its worst
-# explicit-parameter call over n near 10**24 takes well under a second.
+# The largest degree parse_poly returns and generate accepts for a parameter.
+# Products this long go through Kronecker substitution, not the quadratic
+# loop: with e of this degree, the slowest template's generate took 19 ms and
+# its classify 37 ms over n near 10**24 (2 vCPU, Python 3.11.7).
 MAX_GENERATE_DEGREE = 1000
+
+# Shortest length of both factors at which mul_coeffs packs them into ints.
+# Against the term-by-term loop at equal lengths (2 vCPU, Python 3.11.7,
+# n = 385) the packed product took 3.1x the time at length 2, 1.4x at 6,
+# 1.1x at 8, 0.8x at 12, 0.24x at 32 and 0.01x at 1001, with the same
+# pattern at 5*7*10007, 5*7*999999999989 and n near 10**24.
+KRONECKER_MIN_LENGTH = 12
+
+
+def mul_coeffs(a, b, n: int) -> list[int]:
+    """Exact integer coefficients of the product of two coefficient lists.
+
+    a and b are little-endian sequences of residues in [0, n); the result
+    has len(a) + len(b) - 1 entries (none when either is empty) and is
+    not reduced mod n.  When both factors have at least
+    KRONECKER_MIN_LENGTH coefficients, each is packed into one int at
+    x = 2**(8*size), the two ints are multiplied once and the product is
+    read back slot by slot (Kronecker substitution; Harvey, J. Symbolic
+    Comput. 44, 2009).  A slot of size bytes holds every product
+    coefficient, a sum of at most min(len(a), len(b)) terms below n**2,
+    so no slot carries into the next.
+    """
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        return []
+    if la < KRONECKER_MIN_LENGTH or lb < KRONECKER_MIN_LENGTH:
+        out = [0] * (la + lb - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return out
+    size = (2 * (n - 1).bit_length() + min(la, lb).bit_length() + 7) // 8
+    x, y = (int.from_bytes(b"".join([c.to_bytes(size, "little") for c in cs]), "little") for cs in (a, b))
+    raw = (x * y).to_bytes((la + lb - 1) * size, "little")
+    return [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
 
 
 class Poly:
@@ -110,15 +153,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Poly(self.n, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return Poly(self.n, out)
+        return Poly(self.n, mul_coeffs(self.coeffs, o.coeffs, self.n))
 
     __rmul__ = __mul__
 

@@ -5,7 +5,8 @@
 its scan exceeds the budget or the modulus is outside its scope.  Every
 brute-force scan charges its states to the one budget: the pass over
 [0, n) behind full-scan and trace-solver-scan n, the polynomial scan
-n^(d+1) for the largest degree d that fits, the matrix sweep n^3.
+n^(d+1) for the largest degree d that fits, the matrix sweep n^3.  The
+polynomial scan takes its constant terms from the pass over [0, n).
 """
 
 from math import prod
@@ -38,6 +39,7 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
     checks.append(
         ("idempotent-closure", defining and closed, "y^2 = y holds and 1-y stays inside")
     )
+    constants = None
     try:
         charge(n, budget, f"{n} scan states")
     except BudgetExceeded as exc:
@@ -52,6 +54,7 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
             if hit is not None:
                 hit.append(y)
         full_scan = (tuple(hits[0]) == idems, f"scan found {len(hits[0])} idempotents")
+        constants = hits[0]
         solver_ok = all(
             set(trace_candidates(mod, d).solutions) == set(hits[2 * d % n]) for d in idems
         )
@@ -76,7 +79,9 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
     while n ** (degree + 2) <= budget:
         degree += 1
     try:
-        polys = poly_idempotents_bruteforce(mod, degree, budget=budget)
+        # the polynomial scan's constant terms solve c*c = c, which the
+        # pass over [0, n) has answered whenever this scan fits the budget
+        polys = poly_idempotents_bruteforce(mod, degree, budget=budget, constants=constants)
     except BudgetExceeded as exc:
         checks.append(("poly-scan", None, f"{exc.code}: {exc}"))
     else:

@@ -147,17 +147,20 @@ def exponent_variant_check(mod: Modulus) -> list[ExponentVariantRow]:
 
 
 def poly_idempotents_bruteforce(
-    mod: Modulus, max_degree: int, budget: int = DEFAULT_BUDGET
+    mod: Modulus, max_degree: int, budget: int = DEFAULT_BUDGET, constants=None
 ) -> "list[Poly]":
     """Every u in Z_n[x] of degree <= max_degree with u*u = u, by full scan.
 
     The search covers all n**(max_degree+1) coefficient vectors as a DFS
     over prefixes: coefficient k of u*u depends only on c_0..c_k, so a
     prefix violating the k-th coefficient equation rules out its whole
-    subtree.  Survivors get a final exact u*u == u verification.  Reports
-    whatever it finds; it never assumes the results are constant.
+    subtree.  The constant term's equation is c*c = c: a caller that has
+    already scanned [0, n) for its solutions passes them, ascending, as
+    constants, and the DFS starts from them instead of scanning again.
+    Survivors get a final exact u*u == u verification.  Reports whatever
+    it finds; it never assumes the results are constant.
     """
-    from .polyring import Poly
+    from .polyring import Poly, mul_coeffs
 
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
@@ -168,25 +171,19 @@ def poly_idempotents_bruteforce(
     cs = [0] * width
     found: list[Poly] = []
 
-    def square_coeff(k: int) -> int:
-        lo = max(0, k - width + 1)
-        hi = min(k, width - 1)
-        return sum(cs[i] * cs[k - i] for i in range(lo, hi + 1))
-
     def walk(k: int) -> None:
         if k == width:
-            if any(square_coeff(j) % n for j in range(width, 2 * width - 1)):
-                return
             cand = Poly(n, cs)
             if cand * cand == cand:
                 found.append(cand)
             return
         # the k-th equation reads c*c = c at k = 0 and, with cs[k] still 0,
-        # 2*c_0*c + square_coeff(k) = c above: one product per candidate c
+        # 2*c_0*c + rest = c above, rest the k-th coefficient of the square
+        # of the prefix: one product per candidate c
         if k == 0:
-            survivors = (c for c in range(n) if (c * c - c) % n == 0)
+            survivors = (c for c in range(n) if (c * c - c) % n == 0) if constants is None else constants
         else:
-            slope, rest = 2 * cs[0] - 1, square_coeff(k)
+            slope, rest = 2 * cs[0] - 1, mul_coeffs(cs, cs, n)[k]
             survivors = (c for c in range(n) if (slope * c + rest) % n == 0)
         for c in survivors:
             cs[k] = c

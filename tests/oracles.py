@@ -92,14 +92,20 @@ def _poly_add(a, b, n):
     return _poly_trim(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % n for i in range(size))
 
 
-def _poly_mul(a, b, n):
+def poly_mul_unreduced(a, b):
+    """Integer coefficients of the product, by the literal double loop:
+    neither reduced nor trimmed."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i in range(len(a)):
         for j in range(len(b)):
-            out[i + j] = (out[i + j] + a[i] * b[j]) % n
-    return _poly_trim(out)
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _poly_mul(a, b, n):
+    return _poly_trim(c % n for c in poly_mul_unreduced(a, b))
 
 
 def _matmul(A, B, n):

@@ -43,6 +43,7 @@ from idemring.classify import (
 )
 from idemring.errors import (
     BudgetExceeded,
+    InternalTheoremViolation,
     ModulusMismatch,
     PrimesOutOfScope,
     UnsatisfiableParams,
@@ -299,6 +300,37 @@ def test_generate_accepts_recovered_witnesses():
                 (wit,) = classify(G, mod).witnesses
                 params = {key: wit[key] for key in ("e", "f", "g") if key in wit}
                 assert generate(mod, label, **params) == G, (n, label, degree)
+
+
+@pytest.mark.parametrize("n", [385, 455])
+def test_generated_matrices_pass_the_literal_square(n):
+    # generate checks its matrix by Cayley-Hamilton on the template's own d
+    # and t; the oracle squares it with literal products.  The witnesses
+    # fed back as explicit e, f and g rebuild the same matrix.
+    mod = factor_squarefree(n)
+    rng = random.Random(n)
+    for label in (tpl.label for tpl in template_table(mod).values()):
+        for degree in (0, 1, 5, 20, 200):
+            G = generate(mod, label, rng=rng, max_degree=degree)
+            assert matrix_is_idempotent(tuple(list(p.coeffs) for p in G.entries()), n), (label, degree)
+            (wit,) = classify(G, mod).witnesses
+            if "f" in wit:
+                assert generate(mod, label, e=wit["e"], f=wit["f"], g=wit["g"]) == G, (label, degree)
+
+
+def test_generate_catches_a_wrong_solution_for_f(monkeypatch):
+    # the package's `classify` attribute is the function, not the module
+    module = sys.modules["idemring.classify"]
+    right = module.mod_inverse
+    monkeypatch.setattr(module, "mod_inverse", lambda a, m: (right(a, m) + 1) % m)
+    for n in (385, 455):
+        mod = factor_squarefree(n)
+        x = Poly.variable(n)
+        for label in (tpl.label for tpl in template_table(mod).values()):
+            if label.family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
+                continue
+            with pytest.raises(InternalTheoremViolation, match="^generated matrix is not idempotent for "):
+                generate(mod, label, e=x)
 
 
 @st.composite

@@ -3,9 +3,18 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import poly_mul_unreduced
 
 from idemring.errors import ModulusMismatch, NotConstant, PolyParseError, UnsatisfiableParams
-from idemring.polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs, parse_poly
+from idemring.modarith import MILLER_RABIN_LIMIT
+from idemring.polyring import (
+    KRONECKER_MIN_LENGTH,
+    MAX_GENERATE_DEGREE,
+    Poly,
+    divide_coeffs,
+    mul_coeffs,
+    parse_poly,
+)
 
 N = 105
 
@@ -145,3 +154,45 @@ def test_divisibility_helpers():
     assert divide_coeffs(a, 15) == P(0, 1, 2)
     with pytest.raises(ValueError):
         divide_coeffs(P(1, 15), 15)
+
+
+# 2, the round trip's 385, a prime cofactor near 10**12 and n just below
+# the primality test's limit, about 3.3 * 10**24
+KERNEL_MODULI = (2, 385, 5 * 7 * 999999999989, MILLER_RABIN_LIMIT - 1)
+
+
+@st.composite
+def _factor_pairs(draw):
+    """(n, a, b): two residue lists of any lengths up to three thresholds,
+    all n - 1 (the largest product coefficients) in a share of the draws."""
+    n = draw(st.sampled_from(KERNEL_MODULI))
+    worst = draw(st.booleans())
+    lengths = st.integers(0, 3 * KRONECKER_MIN_LENGTH)
+    if worst:
+        return n, [n - 1] * draw(lengths), [n - 1] * draw(lengths)
+    factor = st.lists(st.integers(0, n - 1), max_size=3 * KRONECKER_MIN_LENGTH)
+    return n, draw(factor), draw(factor)
+
+
+@given(_factor_pairs())
+def test_mul_coeffs_is_the_naive_product(case):
+    n, a, b = case
+    assert mul_coeffs(a, b, n) == poly_mul_unreduced(a, b)
+
+
+@pytest.mark.parametrize("n", KERNEL_MODULI)
+@pytest.mark.parametrize("la, lb", [(11, 12), (12, 11), (12, 12), (12, 36), (36, 13), (36, 36)])
+def test_mul_coeffs_at_the_threshold(n, la, lb):
+    # either side of the switch to the packed product, at the largest
+    # coefficients and at the largest and zero ones interleaved; near
+    # 3.3 * 10**24, 36 terms of (n - 1)**2 need the slot's length bits
+    for a, b in (([n - 1] * la, [n - 1] * lb), ([n - 1, 0] * la, [0, n - 1] * lb)):
+        assert mul_coeffs(a, b, n) == poly_mul_unreduced(a, b)
+
+
+@pytest.mark.parametrize("n", [385, 10**24 + 7])
+def test_mul_coeffs_at_twice_the_generate_limit(n):
+    # the longest entries generate makes have 2001 coefficients
+    rng = random.Random(n)
+    a, b = ([rng.randrange(n) for _ in range(2 * MAX_GENERATE_DEGREE + 1)] for _ in "ab")
+    assert mul_coeffs(a, b, n) == poly_mul_unreduced(a, b)
