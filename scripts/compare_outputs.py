@@ -12,8 +12,8 @@ help; a set of usage and coded errors; generate with explicit --e, --f
 and --g (an f that meets the side condition, one that does not, a g that
 is not a unit constant mod the side), at --degree 20, and at --degree 1000
 for det0-general and detpair-shift over 385 and 5*7*999999999989;
-generate --out files classified back; verify with checks skipped over its --budget;
-classify, text and --json, on a fixed set of malformed matrix documents
+generate --out files classified back; verify with checks skipped over its
+--budget; classify, text and --json, on a fixed set of malformed matrix documents
 (MALFORMED_DOCUMENTS); `idempotents n --json` and `solve-trace n d`, text
 and --json, for each idempotent d of a fixed list of large moduli
 (LARGE_MODULI); and
