@@ -328,14 +328,6 @@ def _unit_constant_mod(cs, w: int):
     return g0
 
 
-def _canonical(cs, n: int) -> list[int]:
-    """The integer coefficients cs reduced mod n, trailing zeros dropped."""
-    out = [c % n for c in cs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _is_const(cs, c: int, n: int) -> bool:
     """Whether the integer coefficients cs are the constant c mod n."""
     head, *tail = cs or [0]
@@ -348,24 +340,24 @@ def _strided_matrix(tpl, e, f, g):
     e, f and g are integer coefficient lists, f None to have it solved:
     the det condition leaves a residual divisible by the stride, and f
     solves stride * g * f = residual / stride modulo the side divisor.
-    The entries stay canonical coefficient lists until the checked matrix
-    is wrapped in four Polys.  The check reads the template's own d and t:
-    det G = d (diag*h, computed once for the residual too, less
-    stride*f * stride*g), trace G = t, and then, by Cayley-Hamilton,
-    G*G = G exactly when (t - 1)*G = d*I, which for constant t and d is a
-    coefficientwise scaling.
+    Each entry is built once as a Poly, and the check works on their
+    coefficients with the template's own d and t: det G = d (diag*h,
+    computed once for the residual too, less stride*f * stride*g),
+    trace G = t, and then, by Cayley-Hamilton, G*G = G exactly when
+    (t - 1)*G = d*I, which for constant t and d is a coefficientwise
+    scaling.
     """
     label = tpl.label
     n, d, t, sigma, side = label.modulus, label.det, label.trace, tpl.stride, tpl.side
     cs = [sigma * c for c in e] or [0]
     cs[0] += tpl.offset
-    diag = _canonical(cs, n)
-    cs = [-c for c in diag] or [0]
+    diag = Poly(n, cs)
+    cs = [-c for c in diag.coeffs] or [0]
     cs[0] += t
-    h = _canonical(cs, n)
+    h = Poly(n, cs)
     # diag * h - d, each coefficient congruent mod n (so mod the stride) to
     # the canonical one
-    residual = mul_coeffs(diag, h, n) or [0]
+    residual = mul_coeffs(diag.coeffs, h.coeffs, n) or [0]
     residual[0] -= d
     if any(c % sigma for c in residual):
         raise InternalTheoremViolation("template residual not divisible by the stride")
@@ -374,26 +366,26 @@ def _strided_matrix(tpl, e, f, g):
         if g0 is None:
             raise UnsatisfiableParams(f"g must reduce to a unit constant mod {side} to solve for f")
         inv = mod_inverse(sigma * g0, side)
-        sigma_f = _canonical([sigma * (inv * (c // sigma) % side) for c in residual], n)
+        sigma_f = Poly(n, [sigma * (inv * (c // sigma) % side) for c in residual])
     else:
-        sigma_f = _canonical([sigma * c for c in f], n)
-    sigma_g = _canonical([sigma * c for c in g], n)
+        sigma_f = Poly(n, [sigma * c for c in f])
+    sigma_g = Poly(n, [sigma * c for c in g])
     # det G - d is the residual less stride*f * stride*g: for an explicit f
     # its vanishing is the side condition, for a solved f a check of it
-    fg = mul_coeffs(sigma_f, sigma_g, n)
+    fg = mul_coeffs(sigma_f.coeffs, sigma_g.coeffs, n)
     det_ok = _is_const([r - c for r, c in zip_longest(residual, fg, fillvalue=0)], 0, n)
     if not det_ok and f is not None:
         raise UnsatisfiableParams("parameters violate the determinant side condition")
     s = t - 1
     if not (
         det_ok
-        and _is_const([a + b for a, b in zip_longest(diag, h, fillvalue=0)], t, n)
-        and _is_const([s * c for c in sigma_f + sigma_g], 0, n)
-        and _is_const([s * c for c in diag], d, n)
-        and _is_const([s * c for c in h], d, n)
+        and _is_const([a + b for a, b in zip_longest(diag.coeffs, h.coeffs, fillvalue=0)], t, n)
+        and _is_const([s * c for c in sigma_f.coeffs + sigma_g.coeffs], 0, n)
+        and _is_const([s * c for c in diag.coeffs], d, n)
+        and _is_const([s * c for c in h.coeffs], d, n)
     ):
         raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
-    return Mat2Poly(*(Poly._from_canonical(n, cs) for cs in (diag, sigma_f, sigma_g, h)))
+    return Mat2Poly(diag, sigma_f, sigma_g, h)
 
 
 def generate(

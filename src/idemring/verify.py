@@ -5,8 +5,9 @@
 its scan exceeds the budget or the modulus is outside its scope.  Every
 brute-force scan charges its states to the one budget: the pass over
 [0, n) behind full-scan and trace-solver-scan n, the polynomial scan
-n^(d+1) for the largest degree d that fits, the matrix sweep n^3.  The
-polynomial scan takes its constant terms from the pass over [0, n).
+n^(d+1) for the largest degree d that fits, the matrix sweep n^3.  At
+degree 0 the polynomial scan's question, c*c = c over [0, n), is the one
+the pass has answered, so its rows come from the pass.
 """
 
 from math import prod
@@ -14,6 +15,7 @@ from math import prod
 from .classify import completeness_check, expected_trace_values
 from .errors import BudgetExceeded, PrimesOutOfScope, WrongPrimeCount, charge
 from .modarith import Modulus
+from .polyring import Poly
 from .quadcong import closed_form_trace_solutions, trace_candidates
 from .znring import (
     closed_form_cross_check,
@@ -39,7 +41,7 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
     checks.append(
         ("idempotent-closure", defining and closed, "y^2 = y holds and 1-y stays inside")
     )
-    constants = None
+    scanned = None
     try:
         charge(n, budget, f"{n} scan states")
     except BudgetExceeded as exc:
@@ -54,7 +56,7 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
             if hit is not None:
                 hit.append(y)
         full_scan = (tuple(hits[0]) == idems, f"scan found {len(hits[0])} idempotents")
-        constants = hits[0]
+        scanned = hits[0]
         solver_ok = all(
             set(trace_candidates(mod, d).solutions) == set(hits[2 * d % n]) for d in idems
         )
@@ -79,9 +81,12 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
     while n ** (degree + 2) <= budget:
         degree += 1
     try:
-        # the polynomial scan's constant terms solve c*c = c, which the
-        # pass over [0, n) has answered whenever this scan fits the budget
-        polys = poly_idempotents_bruteforce(mod, degree, budget=budget, constants=constants)
+        if degree == 0 and scanned is not None:
+            # the pass's idempotents, with the scan's exact check on each;
+            # without a pass n exceeds the budget and the scan says so
+            polys = [u for u in (Poly(n, (c,)) for c in scanned) if u * u == u]
+        else:
+            polys = poly_idempotents_bruteforce(mod, degree, budget=budget)
     except BudgetExceeded as exc:
         checks.append(("poly-scan", None, f"{exc.code}: {exc}"))
     else:

@@ -147,18 +147,15 @@ def exponent_variant_check(mod: Modulus) -> list[ExponentVariantRow]:
 
 
 def poly_idempotents_bruteforce(
-    mod: Modulus, max_degree: int, budget: int = DEFAULT_BUDGET, constants=None
+    mod: Modulus, max_degree: int, budget: int = DEFAULT_BUDGET
 ) -> "list[Poly]":
     """Every u in Z_n[x] of degree <= max_degree with u*u = u, by full scan.
 
     The search covers all n**(max_degree+1) coefficient vectors as a DFS
     over prefixes: coefficient k of u*u depends only on c_0..c_k, so a
     prefix violating the k-th coefficient equation rules out its whole
-    subtree.  The constant term's equation is c*c = c: a caller that has
-    already scanned [0, n) for its solutions passes them, ascending, as
-    constants, and the DFS starts from them instead of scanning again.
-    Survivors get a final exact u*u == u verification.  Reports whatever
-    it finds; it never assumes the results are constant.
+    subtree.  Survivors get a final exact u*u == u verification.  Reports
+    whatever it finds; it never assumes the results are constant.
     """
     from .polyring import Poly, mul_coeffs
 
@@ -181,7 +178,7 @@ def poly_idempotents_bruteforce(
         # 2*c_0*c + rest = c above, rest the k-th coefficient of the square
         # of the prefix: one product per candidate c
         if k == 0:
-            survivors = (c for c in range(n) if (c * c - c) % n == 0) if constants is None else constants
+            survivors = (c for c in range(n) if (c * c - c) % n == 0)
         else:
             slope, rest = 2 * cs[0] - 1, mul_coeffs(cs, cs, n)[k]
             survivors = (c for c in range(n) if (slope * c + rest) % n == 0)

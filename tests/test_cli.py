@@ -356,6 +356,28 @@ def test_verify_solver_scan_catches_a_missing_trace(monkeypatch, capsys, n, det)
     assert "FAIL trace-solver-scan: 8 determinants checked" in out.splitlines()
 
 
+def test_verify_poly_scan_at_degree_zero_reads_the_pass(monkeypatch, mod385):
+    # at degree 0 the scan would test c*c = c over [0, n) again: the pass's
+    # idempotents give the row, and the scan runs only from degree 1 or to
+    # report that n exceeds the budget
+    scan = verify.poly_idempotents_bruteforce
+    degrees = []
+
+    def counted(mod, degree, budget):
+        degrees.append(degree)
+        return scan(mod, degree, budget=budget)
+
+    monkeypatch.setattr(verify, "poly_idempotents_bruteforce", counted)
+    rows = {budget: {name: (ok, detail) for name, ok, detail in verify.run_checks(mod385, budget)}
+            for budget in (385, 385**2, 384)}
+    assert degrees == [1, 0]
+    assert rows[385]["poly-scan"] == (True, "degree <= 0: 8 idempotents, all constant")
+    assert rows[385**2]["poly-scan"] == (True, "degree <= 1: 8 idempotents, all constant")
+    assert rows[384]["poly-scan"] == (
+        None, "BudgetExceeded: 385 candidate vectors exceed budget 384"
+    )
+
+
 def test_verify_counts_distinct_idempotents(monkeypatch, mod385):
     # one sum per 0/1 pattern is 2^m sums even when two of them collide
     idems = verify.enumerate_idempotents(mod385)

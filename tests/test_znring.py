@@ -147,19 +147,6 @@ def test_poly_bruteforce_matches_literal_scan():
     assert {u.coeffs for u in polys} == normalized
 
 
-def test_poly_bruteforce_starts_from_the_given_constants(mod105):
-    # the solutions of c*c = c from a scan the caller made replace the
-    # DFS's own scan of the constant term, at every degree
-    for degree in range(3):
-        scanned = poly_idempotents_bruteforce(mod105, degree)
-        given = poly_idempotents_bruteforce(mod105, degree, constants=scan_ring_idempotents(105))
-        assert given == scanned
-    # the DFS starts from exactly those constants; its exact check still
-    # rejects one that is not idempotent
-    polys = poly_idempotents_bruteforce(mod105, 2, constants=[1, 2, 70])
-    assert [u.coeffs for u in polys] == [(1,), (70,)]
-
-
 def test_poly_bruteforce_budget(mod105):
     # 105^4 candidate vectors fit the default budget; 105^5 do not
     with pytest.raises(BudgetExceeded, match=r"^12762815625 candidate vectors exceed budget 125000000$"):
