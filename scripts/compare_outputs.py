@@ -10,19 +10,21 @@ to a temporary file; the two files are then compared line by line.  The
 list covers every verb, in text and with --json where the verb has it;
 help; a set of usage and coded errors; generate with explicit --e, --f
 and --g (an f that meets the side condition, one that does not, a g that
-is not a unit constant mod the side), at --degree 20, and at --degree 1000
-for det0-general and detpair-shift over 385 and 5*7*999999999989;
-generate --out files classified back; verify with checks skipped over its
---budget; classify, text and --json, on a fixed set of malformed matrix documents
-(MALFORMED_DOCUMENTS); `idempotents n --json` and `solve-trace n d`, text
-and --json, for each idempotent d of a fixed list of large moduli
-(LARGE_MODULI); and
-`idempotents n` and `solve-trace n d` for each squarefree n <= N
-(default 3000) and each idempotent d of Z_n.  For each such n that
-is p*q*r with primes > 3 (61 of them up to 3000) it also runs generate
-for every template: each nontrivial idempotent as --det of each family
-that reads it, also with --swap-roles for detpair-mixed, and as --scale
-of det0-scaled, each --out file classified back in text and --json.
+is not a unit constant mod the side; both scalar families too), at
+--degree 20, and at --degree 1000 for det0-general and detpair-shift over
+385 and 5*7*999999999989; generate --out files classified back; verify
+with checks skipped over its --budget; classify, text and --json, on a
+fixed set of malformed matrix documents (MALFORMED_DOCUMENTS) and of
+well-formed ones (WELL_FORMED_DOCUMENTS: zero, identity, non-idempotents,
+a constant idempotent of each family); `idempotents n --json` and
+`solve-trace n d`, text and --json, for each idempotent d of a fixed list
+of large moduli (LARGE_MODULI); and `idempotents n` and `solve-trace n d`
+for each squarefree n <= N (default 3000) and each idempotent d of Z_n.
+For each such n that is p*q*r with primes > 3 (61 of them up to 3000) it
+also runs generate for every template: each nontrivial idempotent as
+--det of each family that reads it, also with --swap-roles for
+detpair-mixed, and as --scale of det0-scaled, each --out file classified
+back in text and --json.
 
 Every argv whose stdout, stderr or exit code differs is printed with the
 parts that differ, and under it the first differing line of each such
@@ -30,7 +32,7 @@ part, the parent's and then the change's; the exit code is 1 when any
 differs, else 0.  Each child runs with -B, COLUMNS=80 (argparse wraps
 help to the terminal width) and its own temporary working directory,
 where generate writes its files, so nothing is written into either
-checkout; the malformed documents are written there too.  Standard
+checkout; the matrix documents are written there too.  Standard
 library only.
 """
 
@@ -112,6 +114,25 @@ MALFORMED_DOCUMENTS = (
     b'{"n": 385, "entries": [[[0, 1, 0], []], [[], []]]}',
     b'{"n": 385, "entries": [[[1, 0], ["1"]], [[], []]]}',
     b'{"n": 385, "entries": [[[1], [2]], [[385], ["1"]]]}',
+)
+
+# Matrix documents classify reads, one per branch of its report: the zero
+# matrix, the identity, a det-1 matrix that is not idempotent, a constant
+# and a non-constant non-idempotent, and one constant idempotent of each
+# family, in FAMILIES order
+WELL_FORMED_DOCUMENTS = (
+    b'{"n": 385, "entries": [[[], []], [[], []]]}',
+    b'{"n": 385, "entries": [[[1], []], [[], [1]]]}',
+    b'{"n": 385, "entries": [[[1], [1]], [[], [1]]]}',
+    b'{"n": 385, "entries": [[[2], [3]], [[5], [7]]]}',
+    b'{"n": 385, "entries": [[[0, 1], []], [[], [1]]]}',
+    b'{"n": 385, "entries": [[[216], [305]], [[3], [170]]]}',
+    b'{"n": 385, "entries": [[[315], [35]], [[210], [280]]]}',
+    b'{"n": 385, "entries": [[[210], []], [[], [210]]]}',
+    b'{"n": 385, "entries": [[[67], [286]], [[33], [144]]]}',
+    b'{"n": 385, "entries": [[[375], [165]], [[165], [375]]]}',
+    b'{"n": 385, "entries": [[[155], []], [[], [155]]]}',
+    b'{"n": 385, "entries": [[[78], [154]], [[231], [78]]]}',
 )
 
 
@@ -216,6 +237,7 @@ def argv_list(max_n: int) -> list[list[str]]:
         ("detsingle-shift", [], "2*x + 4*x^2", 5),
         ("detpair-mixed", [], "1 + 5*x + 6*x^2", 7),
         ("detpair-scalar", [], "x", 1),
+        ("detsingle-scalar", [], "x", 1),
     ):
         run = ["generate", family, "--n", "385", *params, "--e", "x"]
         out += [
@@ -234,6 +256,8 @@ def argv_list(max_n: int) -> list[list[str]]:
         ]
     for k in range(len(MALFORMED_DOCUMENTS)):
         out += [["classify", f"malformed-{k}.json"], ["classify", f"malformed-{k}.json", "--json"]]
+    for k in range(len(WELL_FORMED_DOCUMENTS)):
+        out += [["classify", f"well-formed-{k}.json"], ["classify", f"well-formed-{k}.json", "--json"]]
     # at generate's degree limit, where products take the packed path
     for family, n in product(("det0-general", "detpair-shift"), ("385", str(5 * 7 * 999999999989))):
         path = f"{family}-{n}-degree-1000.json"
@@ -282,6 +306,8 @@ def outputs(checkout: Path, argvs: list[list[str]], out: Path) -> None:
         listing.write_text(json.dumps(argvs))
         for k, text in enumerate(MALFORMED_DOCUMENTS):
             (Path(tmp) / f"malformed-{k}.json").write_bytes(text)
+        for k, text in enumerate(WELL_FORMED_DOCUMENTS):
+            (Path(tmp) / f"well-formed-{k}.json").write_bytes(text)
         proc = subprocess.run(
             [sys.executable, "-B", "-c", CHILD, str(checkout.resolve() / "src"), str(listing)],
             env=env, cwd=tmp, stdout=fp, stderr=subprocess.PIPE, text=True,

@@ -24,9 +24,10 @@ with det d.  The family is read off the type counts:
   RII                detsingle-shift   u = 1, side = the R prime
   0IR                detpair-mixed     u = 0 at the 0 prime, 1 at the I prime
 
-``template_table`` builds the 25 templates of a modulus.  ``classify``
-recovers the parameters of the template a verified idempotent's det and
-trace select, as explicit witnesses; ``generate`` inverts a template;
+``template_table`` builds the 25 templates of a modulus and certifies
+each once.  ``classify`` recovers the parameters of the template a
+verified idempotent's det and trace select, as explicit witnesses;
+``generate`` inverts a template, checking only its det;
 ``iter_constant_idempotent_entries`` enumerates all constant idempotents;
 and ``completeness_check`` replays the classifier over that enumeration.
 """
@@ -141,7 +142,12 @@ def template_table(mod: Modulus) -> Mapping[tuple[int, int], Template]:
 
     One template per type vector tau in {0, I, R}^3 other than 000 and
     III; labels, validation, classification and generation all read from
-    this table.
+    this table.  Each template's Cayley-Hamilton certificate is checked
+    here, once per modulus: with offset u and stride s, (t-1)*s = 0,
+    (t-1)*u = d and (t-1)*(t-u) = d mod n make (t-1)*G = d*I, so G*G = G
+    once det G = d, for every strided G, and u*(t-u) = d mod s makes
+    generate's det residual a multiple of s.  The middle two sum to
+    t^2 - t = 2d.  A failure raises InternalTheoremViolation.
     """
     require_classification_scope(mod)
     n = mod.n
@@ -163,8 +169,12 @@ def template_table(mod: Modulus) -> Mapping[tuple[int, int], Template]:
             extra = {"mixed_offset": offset}
         label = ClassLabel(n, family, roles, det=det, trace=trace, **extra)
         table[det, trace] = Template(label, offset, stride, n // stride)
-    if len(table) != 25 or any((t * t - t - 2 * d) % n for d, t in table):
-        raise InternalTheoremViolation(f"template table over {n} is not 25 solutions of t^2 = t + 2d")
+    if len(table) != 25:
+        raise InternalTheoremViolation(f"template table over {n} does not hold 25 templates")
+    for (d, t), tpl in table.items():
+        u, s = tpl.offset, tpl.stride
+        if (t - 1) * s % n or ((t - 1) * u - d) % n or ((t - 1) * (t - u) - d) % n or (u * (t - u) - d) % s:
+            raise InternalTheoremViolation(f"template {tpl.label} fails its Cayley-Hamilton certificate")
     return MappingProxyType(table)
 
 
@@ -239,22 +249,24 @@ def validate_label(mod: Modulus, label: ClassLabel) -> Template:
 # --- witness recovery --------------------------------------------------
 
 def _match_template(G, tpl):
-    """Witness parameters of G in tpl's family, or None when G is off the template.
+    """Witness parameters of G in tpl's family.
 
     The one check is that e - u, f and g are coefficientwise multiples of
-    the stride, i.e. that G has the template's stride form.  Nothing else
-    needs checking: classify has read trace(G) = t, so h = t - e exactly,
-    and det(G) = d, which given the stride form is equivalent to every
-    family's side condition (det0-general's e(1-e) = g*f, the annihilator
-    and side divisibilities, the mixed det equation), so the quotient k
-    below is exact.  Witnesses are presented per family: det0-general and
+    the stride, i.e. that G has the template's stride form; an idempotent
+    off it contradicts the classification theorem and raises
+    InternalTheoremViolation.  Nothing else needs checking: classify has
+    read trace(G) = t, so h = t - e exactly, and det(G) = d, which given
+    the stride form is equivalent to every family's side condition
+    (det0-general's e(1-e) = g*f, the annihilator and side
+    divisibilities, the mixed det equation), so the quotient k below is
+    exact.  Witnesses are presented per family: det0-general and
     det0-scaled report the undivided entries, the shift and mixed families
     the entries divided by the stride.
     """
     n, sigma, u, family = G.n, tpl.stride, tpl.offset, tpl.label.family
     e_off = [(G.e.coeff(0) - u) % n, *G.e.coeffs[1:]]
     if any(c % sigma for cs in (e_off, G.f.coeffs, G.g.coeffs) for c in cs):
-        return None
+        raise InternalTheoremViolation(f"idempotent off the stride form of {tpl.label}")
     if family in (DET0_GENERAL, DET0_SCALED):
         return {"e": G.e, "f": G.f, "g": G.g}
     if family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
@@ -270,10 +282,11 @@ def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
     """Match an idempotent matrix against the template its det/trace select.
 
     Non-idempotent input yields a report with idempotent=False; the zero
-    and identity matrices (and any det-1 case, which forces the identity)
-    are flagged trivial.  A match carries its recovered witness
-    parameters; an empty match list on a non-trivial idempotent is
-    reported via notes rather than raised.
+    and identity matrices are flagged trivial (a unit det forces I).  Mod
+    each prime any other idempotent is 0, I or of det 0 and trace 1, so its
+    (det, trace) selects a template whose stride form its entries have;
+    the one match carries its witnesses.  A key off the table or entries
+    off the form raise InternalTheoremViolation.  notes stays empty.
     """
     table = template_table(mod)
     if G.n != mod.n:
@@ -289,21 +302,12 @@ def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
         raise InternalTheoremViolation(
             f"verified idempotent has non-constant det or trace: {exc}"
         ) from exc
-    notes: list[str] = []
-    trivial = G == Mat2Poly.zero(n) or G == Mat2Poly.identity(n)
-    if d == 1 and not trivial:
-        notes.append("det 1 forces the identity; flagging this anomaly as trivial")
-        trivial = True
-    if trivial:
-        return ClassificationReport(True, True, d, t, [], [], notes)
-    if (d * d - d) % n:
-        raise InternalTheoremViolation(f"idempotent matrix has non-idempotent det {d} (mod {n})")
+    if G == Mat2Poly.zero(n) or G == Mat2Poly.identity(n):
+        return ClassificationReport(True, True, d, t, [], [], [])
     tpl = table.get((d, t))
-    witness = None if tpl is None else _match_template(G, tpl)
-    if witness is None:
-        notes.append("no template matched a non-trivial idempotent (unexpected)")
-        return ClassificationReport(True, False, d, t, [], [], notes)
-    return ClassificationReport(True, False, d, t, [tpl.label], [witness], notes)
+    if tpl is None:
+        raise InternalTheoremViolation(f"non-trivial idempotent with det {d} and trace {t}: no template")
+    return ClassificationReport(True, False, d, t, [tpl.label], [_match_template(G, tpl)], [])
 
 
 # --- generation --------------------------------------------------------
@@ -328,24 +332,17 @@ def _unit_constant_mod(cs, w: int):
     return g0
 
 
-def _is_const(cs, c: int, n: int) -> bool:
-    """Whether the integer coefficients cs are the constant c mod n."""
-    head, *tail = cs or [0]
-    return (head - c) % n == 0 and not any(x % n for x in tail)
-
-
 def _strided_matrix(tpl, e, f, g):
     """[[u + stride*e, stride*f], [stride*g, t - u - stride*e]] with det d.
 
     e, f and g are integer coefficient lists, f None to have it solved:
-    the det condition leaves a residual divisible by the stride, and f
-    solves stride * g * f = residual / stride modulo the side divisor.
-    Each entry is built once as a Poly, and the check works on their
-    coefficients with the template's own d and t: det G = d (diag*h,
-    computed once for the residual too, less stride*f * stride*g),
-    trace G = t, and then, by Cayley-Hamilton, G*G = G exactly when
-    (t - 1)*G = d*I, which for constant t and d is a coefficientwise
-    scaling.
+    the det condition leaves a residual diag*h - d, a multiple of the
+    stride by template_table's certificate, and f solves
+    stride * g * f = residual / stride modulo the side divisor.  The
+    certificate makes every such matrix with det d idempotent, so the one
+    check here is det G = d: the residual less stride*f * stride*g must
+    vanish.  For an explicit f that is the side condition
+    (UnsatisfiableParams); for a solved f it checks the solution.
     """
     label = tpl.label
     n, d, t, sigma, side = label.modulus, label.det, label.trace, tpl.stride, tpl.side
@@ -359,8 +356,6 @@ def _strided_matrix(tpl, e, f, g):
     # the canonical one
     residual = mul_coeffs(diag.coeffs, h.coeffs, n) or [0]
     residual[0] -= d
-    if any(c % sigma for c in residual):
-        raise InternalTheoremViolation("template residual not divisible by the stride")
     if f is None:
         g0 = _unit_constant_mod(g, side)
         if g0 is None:
@@ -370,20 +365,10 @@ def _strided_matrix(tpl, e, f, g):
     else:
         sigma_f = Poly(n, [sigma * c for c in f])
     sigma_g = Poly(n, [sigma * c for c in g])
-    # det G - d is the residual less stride*f * stride*g: for an explicit f
-    # its vanishing is the side condition, for a solved f a check of it
     fg = mul_coeffs(sigma_f.coeffs, sigma_g.coeffs, n)
-    det_ok = _is_const([r - c for r, c in zip_longest(residual, fg, fillvalue=0)], 0, n)
-    if not det_ok and f is not None:
-        raise UnsatisfiableParams("parameters violate the determinant side condition")
-    s = t - 1
-    if not (
-        det_ok
-        and _is_const([a + b for a, b in zip_longest(diag.coeffs, h.coeffs, fillvalue=0)], t, n)
-        and _is_const([s * c for c in sigma_f.coeffs + sigma_g.coeffs], 0, n)
-        and _is_const([s * c for c in diag.coeffs], d, n)
-        and _is_const([s * c for c in h.coeffs], d, n)
-    ):
+    if any((r - c) % n for r, c in zip_longest(residual, fg, fillvalue=0)):
+        if f is not None:
+            raise UnsatisfiableParams("parameters violate the determinant side condition")
         raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
     return Mat2Poly(diag, sigma_f, sigma_g, h)
 
@@ -408,8 +393,9 @@ def generate(
     violate the side condition and cannot be repaired raise
     UnsatisfiableParams, and so do a max_degree or an explicit parameter of
     degree above MAX_GENERATE_DEGREE; an explicit parameter over another
-    modulus raises ModulusMismatch.  The result is verified idempotent
-    before being returned.
+    modulus raises ModulusMismatch.  The result is idempotent by the
+    template's certificate, checked once in template_table; generate
+    checks only its det, the condition that depends on the parameters.
 
     m, the multiplier det0-scaled once solved f with, is still accepted
     but only has its degree checked: it entered the matrix as I * J * m,
@@ -430,9 +416,8 @@ def generate(
             raise ModulusMismatch(f"{name} over {p.n}, modulus {n}")
     fam, d = label.family, label.det
     if fam in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
+        # the template matrix itself: the stride is n
         G = Mat2Poly.from_ints(n, d, 0, 0, d)
-        if not G.is_idempotent():
-            raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
     else:
         if e is None:
             e = _random_poly(random.Random(seed) if rng is None else rng, n, max_degree)

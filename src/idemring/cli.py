@@ -279,8 +279,6 @@ def _cmd_classify(args) -> int:
             value = wit[key]
             text = value.render() if isinstance(value, Poly) else str(value)
             print(f"      {key} = {text}")
-    for note in rep.notes:
-        print(f"note: {note}")
     return 0
 
 

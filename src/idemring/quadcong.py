@@ -6,7 +6,7 @@ from operator import mul
 
 from .errors import InternalTheoremViolation, WrongPrimeCount
 from .modarith import Modulus, crt_basis
-from .znring import euler_closed_form, nontrivial_idempotents, pattern_of, require_enumerable
+from .znring import euler_closed_form, nontrivial_idempotents, pattern_of, power_form, require_enumerable
 
 
 TraceCandidateSet = namedtuple("TraceCandidateSet", "modulus det solutions")
@@ -127,8 +127,8 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
         z = zeros[0]
         a, b = ones
         for u, v in ((a, b), (b, a)):
-            s, st = pow(z, u - 1, n), f"{z}^{u - 1}"
-            q, qt = pow(z * u, v - 1, n), f"({z}*{u})^{v - 1}"
+            s, st = power_form((z,), u - 1, n)
+            q, qt = power_form((z, u), v - 1, n)
             exprs.append((f"(-1 - 2*{st})*{qt} + 2*{st}", (-1 - 2 * s) * q + 2 * s))
             exprs.append((f"(-2 - {st})*{qt} + {st} + 1", (-2 - s) * q + s + 1))
     else:
@@ -137,7 +137,7 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
         exprs[1], exprs[2] = exprs[2], exprs[1]
         a, b = zeros
         for u, v in ((a, b), (b, a)):
-            w, wt = pow(u, v - 1, n), f"{u}^{v - 1}"
+            w, wt = power_form((u,), v - 1, n)
             exprs.append((f"(2 - {wt})*{dt} + {wt}", (2 - w) * d + w))
             exprs.append((f"(-1 - {wt})*{dt} + {wt}", (-1 - w) * d + w))
     congruence = f"t^2 = t + 2*{dt} (mod {n})"

@@ -66,6 +66,20 @@ def _check_pattern(mod: Modulus, pattern) -> tuple[int, int, int]:
     return pat
 
 
+def power_form(primes, exp: int, n: int) -> tuple[int, str]:
+    """Value mod n and text of the product of one or two primes raised to exp.
+
+    The primes keep the order given; two factors are parenthesised, as in
+    (5*7)^10, and one is not, as in 5^60.  Every closed form's power is
+    rendered here.
+    """
+    if len(primes) == 1:
+        (p,) = primes
+        return mod_pow(p, exp, n), f"{p}^{exp}"
+    a, b = primes
+    return mod_pow(a * b, exp, n), f"({a}*{b})^{exp}"
+
+
 def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
     """Value and rendered text of the power formula for one residue pattern.
 
@@ -85,14 +99,9 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
     elif len(ones) == 3:
         value, text = 1, "1"
     elif len(ones) == 1:
-        s = ones[0]
-        value = mod_pow(zeros[0] * zeros[1], s - 1, mod.n)
-        text = f"({zeros[0]}*{zeros[1]})^{s - 1}"
+        value, text = power_form(zeros, ones[0] - 1, mod.n)
     else:
-        z = zeros[0]
-        exp = (ones[0] - 1) * (ones[1] - 1)
-        value = mod_pow(z, exp, mod.n)
-        text = f"{z}^{exp}"
+        value, text = power_form(zeros, (ones[0] - 1) * (ones[1] - 1), mod.n)
     # a value in [0, n) is the CRT combination of pat exactly when it is 0
     # mod the 0-bit primes and 1 mod the 1-bit primes
     if value % prod(zeros) or (value - 1) % prod(ones):
@@ -137,9 +146,7 @@ def exponent_variant_check(mod: Modulus) -> list[ExponentVariantRow]:
     for pat in ((0, 1, 0), (1, 0, 0)):
         value, text = euler_closed_form(mod, pat)
         zeros = [p for p, b in zip(mod.primes, pat) if not b]
-        base = zeros[0] * zeros[1]
-        variant_value = mod_pow(base, r_max - 1, mod.n)
-        variant_text = f"({zeros[0]}*{zeros[1]})^{r_max - 1}"
+        variant_value, variant_text = power_form(zeros, r_max - 1, mod.n)
         rows.append(
             ExponentVariantRow(pat, text, value, variant_text, variant_value, variant_value == value)
         )

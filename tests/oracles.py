@@ -4,6 +4,7 @@ Everything here is deliberately naive: full scans and literal loops that
 share no code path with the library functions they check.
 """
 
+import re
 from itertools import product
 
 
@@ -161,3 +162,11 @@ def crt_lift_matrix(mats, primes):
 def matrix_is_idempotent(G, n):
     """G * G == G over Z_n[x], by literal products."""
     return _matmul(G, G, n) == tuple(_poly_trim(c % n for c in entry) for entry in G)
+
+
+def evaluate_closed_form(text):
+    """The integer a printed closed form names, by Python's own integer
+    arithmetic with ^ read as **: "(5*7)^10" is 35**10."""
+    if not re.fullmatch(r"[0-9 ()*+^-]+", text):
+        raise ValueError(f"not a closed form: {text!r}")
+    return eval(text.replace("^", "**"), {"__builtins__": {}})

@@ -669,7 +669,10 @@ def test_closed_form_census_equals_archived_report(n):
     assert archived["family_counts"] == dict(families)
 
 
-@pytest.mark.parametrize("n", [385, 455, 1001, 5 * 7 * 10007])
+# the last three are past every sweep: the table builds, so certifies, there
+@pytest.mark.parametrize(
+    "n", [385, 455, 1001, 5 * 7 * 10007, 31 * 37 * 41, 101 * 103 * 107, 5 * 7 * 999999999989]
+)
 def test_template_table_is_the_per_prime_type_table(n):
     # (det, trace) mod p of the zero matrix, the identity and a rank-one idempotent
     det_trace = {"0": (0, 0), "I": (1, 2), "R": (0, 1)}
@@ -708,10 +711,43 @@ def test_match_template_rejects_a_stride_that_does_not_divide_f(monkeypatch, mod
     tpl = table[0, 1]
     assert _match_template(G, tpl) == {"e": G.e, "f": G.f, "g": G.g}
     forged = tpl._replace(stride=5, side=77)
-    assert _match_template(G, forged) is None
+    off_form = "^idempotent off the stride form of det0-general "
+    with pytest.raises(InternalTheoremViolation, match=off_form):
+        _match_template(G, forged)
     # the package re-exports the function classify, which shadows the module
     module = sys.modules["idemring.classify"]
     monkeypatch.setattr(module, "template_table", lambda mod: {**table, (0, 1): forged})
-    rep = classify(G, mod385)
-    assert (rep.idempotent, rep.trivial, rep.matches) == (True, False, [])
-    assert rep.notes == ["no template matched a non-trivial idempotent (unexpected)"]
+    with pytest.raises(InternalTheoremViolation, match=off_form):
+        classify(G, mod385)
+
+
+def test_classify_raises_when_no_template_has_the_det_and_trace(monkeypatch, mod385):
+    G = Mat2Poly.from_ints(385, 0, 1, 0, 1)
+    table = template_table(mod385)
+    module = sys.modules["idemring.classify"]
+    monkeypatch.setattr(module, "template_table", lambda mod: {k: v for k, v in table.items() if k != (0, 1)})
+    with pytest.raises(InternalTheoremViolation, match="^non-trivial idempotent with det 0 and trace 1: no template$"):
+        classify(G, mod385)
+    # the trivial matrices need no template
+    assert classify(Mat2Poly.identity(385), mod385).trivial
+
+
+@pytest.mark.parametrize("n", [385, 455])
+def test_certificate_rejects_a_forged_offset(monkeypatch, n):
+    mod = factor_squarefree(n)
+    module = sys.modules["idemring.classify"]
+    real = module.Template
+    build = template_table.__wrapped__  # the table without its cache
+    for tpl in template_table(mod).values():
+        target = tpl.label
+
+        def forged(label, offset, stride, side):
+            return real(label, offset + (label == target), stride, side)
+
+        monkeypatch.setattr(module, "Template", forged)
+        if target.family == DET0_GENERAL:
+            # stride 1: u = 1 gives [[1 + e, f], [g, -e]], the same matrices
+            assert build(mod)[target.det, target.trace].offset == 1
+        else:
+            with pytest.raises(InternalTheoremViolation, match="fails its Cayley-Hamilton certificate$"):
+                build(mod)

@@ -1,7 +1,8 @@
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import pytest
-from oracles import scan_prime_roots, scan_trace_solutions
+from oracles import evaluate_closed_form, scan_prime_roots, scan_trace_solutions
 
 from idemring import znring
 from idemring.errors import (
@@ -132,6 +133,38 @@ def test_closed_forms_all_in_solution_set(mod105, mod385, mod455):
             assert len(report.entries) == 8
             assert report.discrepancies == []
             assert all(all(e.residue_is_root) for e in report.entries)
+
+
+@pytest.mark.parametrize("primes", [(5, 7, 11), (5, 7, 13), (7, 11, 13), (5, 7, 10007)])
+def test_printed_trace_forms_evaluate_to_their_values(primes):
+    mod = Modulus(prod(primes), primes)
+    entries = [e for report in formula_discrepancy_survey(mod) for e in report.entries]
+    assert len(entries) == 48
+    for e in entries:
+        assert evaluate_closed_form(e.formula) % mod.n == e.value, e.formula
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if is_prime(p)]
+
+
+def test_trace_catalogue_holds_for_every_prime_triple_from_5_to_200():
+    triples = list(combinations(_primes(5, 201), 3))
+    assert len(triples) == 13244
+    for primes in triples:
+        for report in formula_discrepancy_survey(Modulus(prod(primes), primes)):
+            assert not report.discrepancies, report.to_text()
+            assert len({e.value for e in report.entries}) == 8, (primes, report.det)
+
+
+def test_trace_catalogue_with_2_and_3():
+    # 2 and -1, the roots at an I prime, coincide mod 3 alone: the eight
+    # values collapse to four exactly when d is 1 mod 3
+    for primes in combinations(_primes(2, 60), 3):
+        for report in formula_discrepancy_survey(Modulus(prod(primes), primes)):
+            assert not report.discrepancies, report.to_text()
+            collide = 3 in primes and report.det % 3 == 1
+            assert len({e.value for e in report.entries}) == (4 if collide else 8), (primes, report.det)
 
 
 def test_closed_form_examples_105(mod105):

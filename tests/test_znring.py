@@ -1,8 +1,9 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
-from oracles import crt, scan_poly_idempotents, scan_ring_idempotents
+from oracles import crt, evaluate_closed_form, scan_poly_idempotents, scan_ring_idempotents
 
 from idemring.errors import BudgetExceeded, WrongPrimeCount
 from idemring.modarith import Modulus, factor_squarefree
@@ -72,6 +73,19 @@ def test_euler_all_patterns_match_crt():
         mod = factor_squarefree(n)
         for pat in product((0, 1), repeat=3):
             assert euler_closed_form(mod, pat)[0] == crt(pat, mod.primes)
+
+
+@pytest.mark.parametrize("primes", [(5, 7, 11), (5, 7, 13), (7, 11, 13), (5, 7, 10007)])
+def test_printed_power_forms_evaluate_to_their_values(primes):
+    mod = Modulus(prod(primes), primes)
+    for pat in product((0, 1), repeat=3):
+        value, text = euler_closed_form(mod, pat)
+        assert evaluate_closed_form(text) % mod.n == value, (pat, text)
+    rows = exponent_variant_check(mod)
+    assert len(rows) == 2
+    for row in rows:
+        assert evaluate_closed_form(row.formula) % mod.n == row.value, row
+        assert evaluate_closed_form(row.variant_formula) % mod.n == row.variant_value, row
 
 
 def test_euler_wrong_prime_count():
