@@ -14,10 +14,12 @@ workload it lists each run's verdict and item counts and raw verdict time
 and whether the two sides' median verdict counts differ, and per metric
 each side's quartiles (statistics.quantiles, inclusive method) and every run,
 the number of pairs in which the change read lower, the ratio of the
-medians, and two verdicts against BENCHMARK.json: within_bound (the change
-median is no worse than the parent's by more than the metric's bound) and
-meets_claim_rule (better in at least 9/10 of the pairs, and by more than
-the parent's IQR in the median).  Progress goes to stderr.
+medians, and three verdicts against BENCHMARK.json: within_bound (the
+change median is no worse than the parent's by more than the metric's
+bound), meets_claim_rule (better in at least 9/10 of the pairs, and by more
+than the parent's IQR in the median) and unresolved (either side's IQR is
+wider than the bound times the parent median, and not every change run
+reads better than every parent run).  Progress goes to stderr.
 """
 
 import argparse
@@ -77,6 +79,9 @@ def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]], rules:
     change median is no worse than the parent's by more than the bound, and
     meets_claim_rule that the change is better in at least 9/10 of the
     pairs and its median beats the parent's by more than the parent's IQR.
+    unresolved says the runs spread too widely to judge the bound: either
+    side's IQR exceeds the bound times the parent median, and some change
+    run reads no better than some parent run.
     """
     results = {side: [result for _, result in runs[side]] for side in SIDES}
     verdicts = {side: [info["verdicts"] for info, _ in runs[side]] for side in SIDES}
@@ -109,6 +114,10 @@ def summarize(seeds: list[int], runs: dict[str, list[tuple[dict, dict]]], rules:
             10 * wins >= 9 * len(seeds)
             and sign * (parent - change) > summary["parent"]["q3"] - summary["parent"]["q1"]
         )
+        spread = max(summary[side]["q3"] - summary[side]["q1"] for side in SIDES)
+        # every change run better than every parent run
+        separated = max(sign * c for c in runs["change"]) < min(sign * p for p in runs["parent"])
+        summary["unresolved"] = spread > rules[name]["bound"] * parent and not separated
         out["metrics"][name] = summary
     return out
 

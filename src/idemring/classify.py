@@ -66,7 +66,6 @@ from .families import (
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
 from .modarith import Modulus, crt_basis, mod_inverse
 from .polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs, mul_coeffs
-from .znring import nontrivial_idempotents  # noqa: F401 (re-exported)
 
 
 class ClassLabel(

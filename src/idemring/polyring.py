@@ -84,14 +84,6 @@ class Poly:
         p.coeffs = tuple(coeffs)
         return p
 
-    @classmethod
-    def constant(cls, n: int, c: int) -> "Poly":
-        return cls(n, (c,))
-
-    @classmethod
-    def variable(cls, n: int) -> "Poly":
-        return cls(n, (0, 1))
-
     @property
     def degree(self):
         """Degree as an int; the zero polynomial gets float('-inf')."""

@@ -88,7 +88,7 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
     z**((a-1)*(b-1)) for the two 1-bit primes a, b.  Fermat's little theorem
     makes each expression congruent to 1 at its 1-bit primes, and the result
     is checked against the CRT combination before being returned.  This is
-    the one place the closed forms are stated.
+    the one place the idempotents' closed forms are stated.
     """
     pat = _check_pattern(mod, pattern)
     ones, zeros = [], []

@@ -31,7 +31,6 @@ from idemring.classify import (
     generate,
     iter_constant_idempotent_entries,
     make_label,
-    nontrivial_idempotents,
 )
 from idemring.cli import main as cli_main, report_files
 from idemring.errors import NotSquarefree
@@ -41,6 +40,7 @@ from idemring.znring import (
     enumerate_idempotents,
     euler_closed_form,
     exponent_variant_check,
+    nontrivial_idempotents,
     poly_idempotents_bruteforce,
 )
 

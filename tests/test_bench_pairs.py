@@ -103,3 +103,29 @@ def test_verdict_counts_differ_compares_the_median_counts():
     assert bench_pairs.summarize([1, 2, 3], runs, RULES)["verdict_counts_differ"] is False
     runs["change"][2] = _run(2, 4.0, 4.0, 4.0)
     assert bench_pairs.summarize([1, 2, 3], runs, RULES)["verdict_counts_differ"] is True
+
+
+# completeness-385 peak_rss_mb runs: a run that holds one sweep reads about
+# 45 MB and one that holds two about 67 MB
+BENCH_25_PARENT_RSS = [45.175781, 45.230469, 45.191406, 67.074219, 67.128906, 67.011719, 67.125, 45.273438, 45.203125, 45.171875]
+BENCH_26_RSS = {
+    "parent": [45.328125, 67.125, 45.25, 45.214844, 45.183594, 45.238281, 45.25, 45.265625, 45.308594, 45.289062],
+    "change": [45.125, 45.082031, 45.03125, 45.203125, 45.253906, 67.128906, 45.160156, 45.1875, 45.15625, 45.121094],
+}
+
+
+def test_unresolved_when_either_side_spreads_wider_than_the_bound():
+    seeds = list(range(10))
+    # a parent IQR of 21.9 MB against 0.1 x 45.3 MB: the bound cannot be judged
+    out = bench_pairs.summarize(seeds, _pairs(BENCH_25_PARENT_RSS, BENCH_26_RSS["change"]), RULES)["metrics"]
+    assert out["peak_rss_mb"]["unresolved"] and out["peak_rss_mb"]["within_bound"]
+    # the same wide spread on the change side only
+    out = bench_pairs.summarize(seeds, _pairs(BENCH_26_RSS["parent"], BENCH_25_PARENT_RSS), RULES)["metrics"]
+    assert out["peak_rss_mb"]["unresolved"]
+    # one 67 MB run per side leaves both IQRs under 0.1 MB
+    out = bench_pairs.summarize(seeds, _pairs(BENCH_26_RSS["parent"], BENCH_26_RSS["change"]), RULES)["metrics"]
+    assert not out["peak_rss_mb"]["unresolved"] and not out["verdict_s"]["unresolved"]
+    # every change run below every parent run resolves even a wide spread
+    lower = [v - 0.5 for v in BENCH_26_RSS["change"][:5]] * 2
+    out = bench_pairs.summarize(seeds, _pairs(BENCH_25_PARENT_RSS, lower), RULES)["metrics"]
+    assert not out["peak_rss_mb"]["unresolved"]

@@ -36,7 +36,6 @@ from idemring.classify import (
     generate,
     iter_constant_idempotent_entries,
     make_label,
-    nontrivial_idempotents,
     require_matrix_budget,
     template_table,
     validate_label,
@@ -52,7 +51,7 @@ from idemring.mat2 import Mat2Poly
 from idemring.modarith import Modulus, factor_squarefree
 from idemring.polyring import Poly
 from idemring.quadcong import trace_candidates
-from idemring.znring import enumerate_idempotents
+from idemring.znring import enumerate_idempotents, nontrivial_idempotents
 
 REPORTS_DIR = Path(__file__).resolve().parents[1] / "reports"
 
@@ -93,8 +92,8 @@ def test_scalar_example(mod385):
 
 
 def test_det0_general_example(mod385):
-    x = Poly.variable(385)
-    G = Mat2Poly(x, x * (1 - x), Poly.constant(385, 1), 1 - x)
+    x = Poly(385, (0, 1))
+    G = Mat2Poly(x, x * (1 - x), Poly(385, (1,)), 1 - x)
     rep = classify(G, mod385)
     assert [l.family for l in rep.matches] == [DET0_GENERAL]
     assert rep.witnesses[0]["e"] == x
@@ -194,16 +193,16 @@ def test_generate_draws_nothing_when_every_parameter_is_given(monkeypatch):
     def no_rng(*args, **kw):
         raise AssertionError("generate seeded a Random it did not draw from")
 
-    # the package's `classify` attribute is the function, not the module
+    # the name classify here is the function, not its module
     monkeypatch.setattr(sys.modules["idemring.classify"].random, "Random", no_rng)
     for n in (385, 455):
         mod = factor_squarefree(n)
-        x = Poly.variable(n)
+        x = Poly(n, (0, 1))
         for tpl in template_table(mod).values():
             label = tpl.label
             params = {}
             if label.family not in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
-                params = {"e": 3 + x * x, "g": Poly.constant(n, 1)}
+                params = {"e": 3 + x * x, "g": Poly(n, (1,))}
             if label.family == DET0_SCALED:
                 params["m"] = x + 5
             G = generate(mod, label, seed=0, **params)
@@ -226,9 +225,9 @@ def test_det0_scaled_witness_is_the_undivided_entries(mod385):
 
 def test_generate_det0_general_frozen(mod385):
     lab = make_label(mod385, DET0_GENERAL)
-    G = generate(mod385, lab, e=Poly.variable(385))
-    x = Poly.variable(385)
-    assert G == Mat2Poly(x, x * (1 - x), Poly.constant(385, 1), 1 - x)
+    G = generate(mod385, lab, e=Poly(385, (0, 1)))
+    x = Poly(385, (0, 1))
+    assert G == Mat2Poly(x, x * (1 - x), Poly(385, (1,)), 1 - x)
 
 
 def test_generate_detpair_scalar_frozen(mod385):
@@ -238,7 +237,7 @@ def test_generate_detpair_scalar_frozen(mod385):
 
 def test_generate_det0_scaled_postverified(mod385):
     lab = make_label(mod385, DET0_SCALED, scale=155)
-    G = generate(mod385, lab, e=Poly.variable(385), m=Poly.constant(385, 1))
+    G = generate(mod385, lab, e=Poly(385, (0, 1)), m=Poly(385, (1,)))
     assert G.is_idempotent()
     rep = classify(G, mod385)
     assert lab in rep.matches
@@ -246,13 +245,13 @@ def test_generate_det0_scaled_postverified(mod385):
 
 def test_generate_unsatisfiable_params(mod385):
     lab = make_label(mod385, DET0_GENERAL)
-    x = Poly.variable(385)
+    x = Poly(385, (0, 1))
     with pytest.raises(UnsatisfiableParams):
-        generate(mod385, lab, e=x, f=x, g=Poly.constant(385, 1))
+        generate(mod385, lab, e=x, f=x, g=Poly(385, (1,)))
     shift = make_label(mod385, DETPAIR_SHIFT)
     with pytest.raises(UnsatisfiableParams):
         # g = 11 shares a factor with the side divisor's complement modulus 35
-        generate(mod385, shift, e=x, g=Poly.constant(385, 35))
+        generate(mod385, shift, e=x, g=Poly(385, (35,)))
 
 
 def test_generate_classify_round_trip_all_families(mod385):
@@ -319,13 +318,13 @@ def test_generated_matrices_pass_the_literal_square(n):
 
 
 def test_generate_catches_a_wrong_solution_for_f(monkeypatch):
-    # the package's `classify` attribute is the function, not the module
+    # the name classify here is the function, not its module
     module = sys.modules["idemring.classify"]
     right = module.mod_inverse
     monkeypatch.setattr(module, "mod_inverse", lambda a, m: (right(a, m) + 1) % m)
     for n in (385, 455):
         mod = factor_squarefree(n)
-        x = Poly.variable(n)
+        x = Poly(n, (0, 1))
         for label in (tpl.label for tpl in template_table(mod).values()):
             if label.family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
                 continue
@@ -522,11 +521,11 @@ def test_generate_rejects_a_parameter_over_another_modulus(mod385):
 def test_det0_scaled_g_need_only_be_a_unit_mod_the_annihilator(mod385):
     label = make_label(mod385, DET0_SCALED, scale=210)
     assert label.annihilator == 11
-    x = Poly.variable(385)
+    x = Poly(385, (0, 1))
     # 5 is a unit mod 11 but not mod 385
-    G = generate(mod385, label, e=x, g=Poly.constant(385, 5))
+    G = generate(mod385, label, e=x, g=Poly(385, (5,)))
     assert classify(G, mod385).matches == [label]
-    for g in (Poly.constant(385, 11), Poly.constant(385, 22), 1 + x):
+    for g in (Poly(385, (11,)), Poly(385, (22,)), 1 + x):
         with pytest.raises(UnsatisfiableParams, match="unit constant mod 11"):
             generate(mod385, label, e=x, g=g)
 
@@ -629,9 +628,9 @@ def test_report_serialization(completeness385):
 def test_classify_allocates_nothing_beyond_det_and_trace(monkeypatch, mod385):
     # the first call caches the zero and identity matrices classify compares with
     classify(Mat2Poly.identity(385), mod385)
-    x = Poly.variable(385)
+    x = Poly(385, (0, 1))
     cases = {
-        DET0_GENERAL: Mat2Poly(x, x * (1 - x), Poly.constant(385, 1), 1 - x),
+        DET0_GENERAL: Mat2Poly(x, x * (1 - x), Poly(385, (1,)), 1 - x),
         DETPAIR_SCALAR: Mat2Poly.from_ints(385, 210, 0, 0, 210),
         DETSINGLE_SCALAR: Mat2Poly.from_ints(385, 155, 0, 0, 155),
     }
@@ -714,7 +713,7 @@ def test_match_template_rejects_a_stride_that_does_not_divide_f(monkeypatch, mod
     off_form = "^idempotent off the stride form of det0-general "
     with pytest.raises(InternalTheoremViolation, match=off_form):
         _match_template(G, forged)
-    # the package re-exports the function classify, which shadows the module
+    # the name classify here is the function, not its module
     module = sys.modules["idemring.classify"]
     monkeypatch.setattr(module, "template_table", lambda mod: {**table, (0, 1): forged})
     with pytest.raises(InternalTheoremViolation, match=off_form):

@@ -29,13 +29,13 @@ from idemring.classify import (
     DETPAIR_MIXED,
     FAMILIES,
     make_label,
-    nontrivial_idempotents,
     template_table,
     validate_label,
 )
 from idemring.cli import main
 from idemring.errors import UnsatisfiableParams
 from idemring.modarith import factor_squarefree
+from idemring.znring import nontrivial_idempotents
 
 FIELDS = ("family", "det", "trace", "prime_roles", "scale", "annihilator", "mixed_offset")
 
