@@ -18,8 +18,11 @@ fixed set of malformed matrix documents (MALFORMED_DOCUMENTS) and of
 well-formed ones (WELL_FORMED_DOCUMENTS: zero, identity, non-idempotents,
 a constant idempotent of each family); `idempotents n --json` and
 `solve-trace n d`, text and --json, for each idempotent d of a fixed list
-of large moduli (LARGE_MODULI); and `idempotents n` and `solve-trace n d`
-for each squarefree n <= N (default 3000) and each idempotent d of Z_n.
+of large moduli (LARGE_MODULI); `idempotents n --json` and `solve-trace
+n d`, text and --json, for the first, a middle and the last idempotent d
+of moduli of 6 to 16 primes (MANY_PRIME_MODULI); and `idempotents n` and
+`solve-trace n d` for each squarefree n <= N (default 3000) and each
+idempotent d of Z_n.
 For each such n that is p*q*r with primes > 3 (61 of them up to 3000) it
 also runs generate for every template: each nontrivial idempotent as
 --det of each family that reads it, also with --swap-roles for
@@ -85,6 +88,11 @@ PARTS = ("stdout", "stderr", "exit")
 # primes below 1000; and a prime cofactor near 10**12, which keeps trial
 # division going to 10**6
 LARGE_MODULI = ((5, 7, 20011), (5, 7, 40009), (5, 7, 59999), (5, 1009, 1013), (5, 7, 999999999989))
+
+# Moduli of m = 6 to 16 primes, the first m from 2 and the first m from 5:
+# the 2**m idempotents and trace solutions up to MAX_ENUMERATED_PRIMES
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+MANY_PRIME_MODULI = tuple(_PRIMES[k : k + m] for k in (0, 2) for m in range(6, 17))
 
 
 # Matrix documents the decoder rejects, one per message and precedence
@@ -275,6 +283,12 @@ def argv_list(max_n: int) -> list[list[str]]:
         n = str(prod(primes))
         out.append(["idempotents", n, "--json"])
         for d in map(str, crt_idempotents(primes)):
+            out += [["solve-trace", n, d], ["solve-trace", n, d, "--json"]]
+    for primes in MANY_PRIME_MODULI:
+        n = str(prod(primes))
+        idems = crt_idempotents(primes)
+        out.append(["idempotents", n, "--json"])
+        for d in map(str, (idems[0], idems[len(idems) // 2], idems[-1])):
             out += [["solve-trace", n, d], ["solve-trace", n, d, "--json"]]
     for n, idems in squarefree_idempotents(max_n):
         out += [["idempotents", str(n)], ["idempotents", str(n), "--json"]]

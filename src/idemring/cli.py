@@ -19,6 +19,7 @@ json.encoder uses straight from ``_json``, so ``--json`` output does not
 load json either.
 """
 
+import os
 import sys
 from collections import Counter
 from functools import cache
@@ -67,54 +68,67 @@ def _dumps(doc) -> str:
     raises TypeError.
     """
     parts: list[str] = []
-    _encode(doc, "\n", parts.append)
+    _encode(doc, 0, parts.append)
     return "".join(parts)
 
 
-def _encode(value, nl: str, put) -> None:
-    """Append the container value to put; nl is the newline and indent of its line.
-
-    Scalars are encoded in the loops, so only containers recurse.  Each
-    scalar's exact type is tested inline, ints (the most common) first; a
-    bool, an IntEnum member or a str subclass is neither an int nor a str
-    here, so only True, False and None are written as the rest.  Dicts and
-    lists keep separate loops: one loop over (key prefix, item) pairs for
-    both took about 1.5x as long on solve-trace documents.
-    """
+def _separators(depth: int) -> tuple[str, str, str, str, str]:
+    """The object and array openings, the item separator and the object and
+    array closings of a container nested depth deep."""
+    nl = "\n" + "  " * depth
     inner = nl + "  "
-    comma = "," + inner
+    return "{" + inner, "[" + inner, "," + inner, nl + "}", nl + "]"
+
+
+# depths 0-7; the documents this module writes nest 5 deep at most, and a
+# deeper container builds its separators when it is written
+_SEPARATORS = tuple(map(_separators, range(8)))
+
+
+def _encode(value, depth: int, put) -> None:
+    """Append the container value, nested depth deep, to put.
+
+    A container looks its separators up in _SEPARATORS instead of building
+    them.  Scalars are encoded in the loops, so only containers recurse; an
+    object member is one string: separator, key and value.  Each scalar's
+    exact type is tested inline, ints (the most common) first; a bool, an
+    IntEnum member or a str subclass is neither an int nor a str here, so
+    only True, False and None are written as the rest.  Dicts and lists
+    keep separate loops: one loop over (key prefix, item) pairs for both
+    took about 1.5x as long on solve-trace documents.
+    """
     if isinstance(value, dict):
         if not value:
             put("{}")
             return
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
+        sep, _, comma, close, _ = _SEPARATORS[depth] if depth < 8 else _separators(depth)
+        for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = sep + encode_basestring_ascii(key) + ": "
-            sep = comma
+            item = value[key]
             kind = type(item)
             if kind is int:
-                put(f"{head}{item}")
+                put(f"{sep}{encode_basestring_ascii(key)}: {item}")
             elif kind is str:
-                put(head + encode_basestring_ascii(item))
+                put(f"{sep}{encode_basestring_ascii(key)}: {encode_basestring_ascii(item)}")
             elif item is True:
-                put(head + "true")
+                put(f"{sep}{encode_basestring_ascii(key)}: true")
             elif item is False:
-                put(head + "false")
+                put(f"{sep}{encode_basestring_ascii(key)}: false")
             elif item is None:
-                put(head + "null")
+                put(f"{sep}{encode_basestring_ascii(key)}: null")
             elif isinstance(item, (dict, list, tuple)):
-                put(head)
-                _encode(item, inner, put)
+                put(f"{sep}{encode_basestring_ascii(key)}: ")
+                _encode(item, depth + 1, put)
             else:
                 raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        put(nl + "}")
+            sep = comma
+        put(close)
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")
             return
-        sep = "[" + inner
+        _, sep, comma, _, close = _SEPARATORS[depth] if depth < 8 else _separators(depth)
         for item in value:
             kind = type(item)
             if kind is int:
@@ -129,11 +143,11 @@ def _encode(value, nl: str, put) -> None:
                 put(sep + "null")
             elif isinstance(item, (dict, list, tuple)):
                 put(sep)
-                _encode(item, inner, put)
+                _encode(item, depth + 1, put)
             else:
                 raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
             sep = comma
-        put(nl + "]")
+        put(close)
     else:
         raise TypeError(f"a document is a dict, list or tuple, not {type(value).__name__}")
 
@@ -558,6 +572,13 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         rc = args.func(args)
+        # a reader that closed stdout shows here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the signal module docs' recipe: with fd 1 on devnull the flush at
+        # exit neither raises nor prints "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InternalTheoremViolation:
         raise
     except PolyParseError as exc:

@@ -1,8 +1,6 @@
 """Trace congruences t^2 = t + 2d (mod n) and their closed-form solution lists."""
 
 from collections import namedtuple
-from itertools import product
-from operator import mul
 
 from .errors import InternalTheoremViolation, WrongPrimeCount
 from .modarith import Modulus, crt_basis
@@ -18,24 +16,34 @@ def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
     An idempotent d is 0 or 1 mod each prime p, so t^2 - t - 2d factors
     mod p as t(t - 1) or (t - 2)(t + 1): the roots are 0, 1 or 2, -1, read
     off d's bit at p (pattern_of, which raises NotIdempotentDet for any
-    other d) in O(1).  They are recombined over every choice of per-prime
-    root through modarith's crt_basis, and every solution is checked.  The
-    sum is reduced mod n and collected in a set, so the roots need no
-    reduction mod p: 2, -1 are 0, 1 mod 2, and mod 3 they coincide (a
+    other d) in O(1).  The 2**m choices of one root per prime are lifted
+    by _solve from modarith's crt_basis, and every solution is checked.
+    The lifts are reduced mod n and collected in a set, so the roots need
+    no reduction mod p: 2, -1 are 0, 1 mod 2, and mod 3 they coincide (a
     double root).  More than MAX_ENUMERATED_PRIMES primes raise
-    BudgetExceeded before the 2**m combinations start.
+    BudgetExceeded before the 2**m lifts start.
     """
     d %= mod.n
     return _solve(mod, d, pattern_of(mod, d))
 
 
 def _solve(mod: Modulus, d: int, pattern) -> TraceCandidateSet:
-    """trace_candidates for a d in [0, n) whose per-prime bits are pattern."""
+    """trace_candidates for a d in [0, n) whose per-prime bits are pattern.
+
+    2d is the lift of root 2 at each 1-bit prime and root 0 at each 0-bit
+    prime.  p's CRT basis element e_p is 1 mod p and 0 mod the other
+    primes, so adding e_p times the step to p's other root (-3 from 2 to
+    -1, +1 from 0 to 1) moves p's root alone.  The lifts are built by
+    doubling: each prime adds its step to every lift so far, 2**m - 1
+    additions in all.
+    """
     n = mod.n
-    per_prime = [(2, -1) if bit else (0, 1) for bit in pattern]
     require_enumerable(mod)
-    basis = crt_basis(mod)
-    sols = {sum(map(mul, combo, basis)) % n for combo in product(*per_prime)}
+    lifts = [2 * d]
+    for bit, e in zip(pattern, crt_basis(mod)):
+        step = -3 * e if bit else e
+        lifts += [t + step for t in lifts]
+    sols = {t % n for t in lifts}
     out = TraceCandidateSet(n, d, tuple(sorted(sols)))
     for t in out.solutions:
         if (t * t - t - 2 * d) % n:
@@ -73,8 +81,8 @@ class FormulaReport(
                 {
                     "formula": e.formula,
                     "value": e.value,
-                    "residues": list(e.residues),
-                    "residue_is_root": list(e.residue_is_root),
+                    "residues": e.residues,
+                    "residue_is_root": e.residue_is_root,
                     "in_solution_set": e.in_solution_set,
                 }
                 for e in self.entries

@@ -149,6 +149,22 @@ def crt(residues, primes):
     return sum(r * (n // p) * pow(n // p, -1, p) for r, p in zip(residues, primes)) % n
 
 
+def crt_lifts(roots, primes):
+    """Every crt of one residue per prime, one from each of roots (a
+    collection per prime), ascending and without repeats."""
+    return sorted({crt(combo, primes) for combo in product(*roots)})
+
+
+# Moduli past the scans' reach, as their primes: the first m primes from 2
+# (so 2 and 3 divide n) and from 5, for m = 1 to 8, 12 and 16
+MANY_PRIMES = tuple(
+    primes[:m]
+    for primes in ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53),
+                   (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61))
+    for m in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16)
+)
+
+
 def crt_lift_matrix(mats, primes):
     """The matrix over Z_n[x] that reduces to mats[i] mod primes[i]."""
     lifted = []

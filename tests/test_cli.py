@@ -496,6 +496,41 @@ def test_solve_trace_large_prime_factor_json():
     assert doc["closed_forms"]["discrepancy_count"] == 0
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [["-m", "idemring"], ["-c", "import sys; from idemring.cli import main; sys.exit(main())"]],
+    ids=["python-m", "console-script"],
+)
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # 2^16 idempotents of the primes 5 to 61, about 1.5 MB: the reader
+        # takes 100 bytes and closes while the child still writes
+        (["idempotents", "19548063559901161830545"], 100),
+        # a few KB, held in stdout's buffer: the reader is gone before the
+        # child writes at all
+        (["solve-trace", "700385", "80045", "--json"], 0),
+    ],
+    ids=["large-output", "buffered-output"],
+)
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(entry, argv, read):
+    src = str(Path(idemring.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    with subprocess.Popen([sys.executable, *entry, *argv], stdout=w, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(w)
+        if read:
+            head = b""
+            while len(head) < read and (chunk := os.read(r, read - len(head))):
+                head += chunk
+            os.close(r)
+            assert head.startswith(b"n = 19548063559901161830545 = 5 * 7 * ")
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_verify_large_prime_factor_is_bounded():
     rc, out, err, wall = run_fresh("verify", str(BIG_N), "--budget", "1000", timeout=10)
     assert rc == 0 and err == "" and wall < 2.0
@@ -793,6 +828,16 @@ _CONTAINERS = st.recursive(
 @given(_CONTAINERS)
 def test_dumps_is_stdlib_indent_2_sort_keys(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dumps_nested_40_deep_then_shallow():
+    # past _SEPARATORS' depths a container builds its separators; a deep
+    # document must leave nothing behind for the shallow one written after it
+    deep = "leaf"
+    for k in range(40):
+        deep = {"k": [deep, k], "a": {}} if k % 2 else (deep, [], {"z": None})
+    for doc in (deep, {"b": [1, {"a": [True]}]}):
+        assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_dumps_keeps_bools_apart_from_the_ints_1_and_0():

@@ -2,6 +2,7 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,3 +97,18 @@ def test_a_reworded_decoder_message_is_reported(tmp_path):
         assert where == "  stderr line 1:"
         assert parent.startswith("    parent: error: ") and parent.endswith("trailing zero coefficients are forbidden")
         assert change.startswith("    change: error: ") and change.endswith("trailing zeros are forbidden")
+
+
+def test_the_list_runs_moduli_of_6_to_16_primes():
+    argvs = compare_outputs.argv_list(40)
+    moduli = compare_outputs.MANY_PRIME_MODULI
+    assert sorted(len(primes) for primes in moduli) == sorted(2 * list(range(6, 17)))
+    assert {primes[0] for primes in moduli} == {2, 5}
+    for primes in moduli:
+        n = str(prod(primes))
+        idems = compare_outputs.crt_idempotents(primes)
+        assert ["idempotents", n, "--json"] in argvs
+        # the first, a middle and the last idempotent, text and --json
+        dets = {argv[2] for argv in argvs if argv[:2] == ["solve-trace", n]}
+        assert dets == {str(idems[0]), str(idems[len(idems) // 2]), str(idems[-1])}
+        assert sum(argv[:2] == ["solve-trace", n] for argv in argvs) == 6

@@ -2,7 +2,7 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
-from oracles import evaluate_closed_form, scan_prime_roots, scan_trace_solutions
+from oracles import MANY_PRIMES, crt_lifts, evaluate_closed_form, scan_prime_roots, scan_trace_solutions
 
 from idemring import znring
 from idemring.errors import (
@@ -104,6 +104,20 @@ def test_solver_equals_scan_sweep_1500():
             continue
         for d in enumerate_idempotents(mod):
             assert list(trace_candidates(mod, d).solutions) == scan_trace_solutions(n, d)
+
+
+@pytest.mark.parametrize("primes", MANY_PRIMES, ids=lambda primes: f"m{len(primes)}-from{primes[0]}")
+def test_solver_equals_the_naive_lift(primes):
+    # the lift takes a crt per choice of roots {0, 1} or {2, -1} at each
+    # prime, which at 3 are the one root 2
+    mod = factor_squarefree(prod(primes))
+    idems = enumerate_idempotents(mod)
+    if len(primes) > 8:
+        # five d at 12 primes and two at 16, where one lift is 65,536 crts
+        idems = idems[1 :: len(idems) // (5 if len(primes) == 12 else 2)]
+    for d in idems:
+        roots = [{2, p - 1} if d % p else (0, 1) for p in primes]
+        assert list(trace_candidates(mod, d).solutions) == crt_lifts(roots, primes), d
 
 
 def test_cardinality_eight_above_three(mod385, mod455):

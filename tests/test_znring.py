@@ -3,7 +3,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from oracles import crt, evaluate_closed_form, scan_poly_idempotents, scan_ring_idempotents
+from oracles import MANY_PRIMES, crt, crt_lifts, evaluate_closed_form, scan_poly_idempotents, scan_ring_idempotents
 
 from idemring.errors import BudgetExceeded, WrongPrimeCount
 from idemring.modarith import Modulus, factor_squarefree
@@ -35,6 +35,14 @@ def test_enumerate_matches_scan_various():
         mod = factor_squarefree(n)
         assert list(enumerate_idempotents(mod)) == scan_ring_idempotents(n)
         assert len(enumerate_idempotents(mod)) == 2**mod.m
+
+
+@pytest.mark.parametrize("primes", MANY_PRIMES, ids=lambda primes: f"m{len(primes)}-from{primes[0]}")
+def test_enumerate_matches_the_naive_lift(primes):
+    # the subset sums of the CRT basis, built by doubling, against one crt
+    # per choice of 0 or 1 at each prime
+    mod = factor_squarefree(prod(primes))
+    assert list(enumerate_idempotents(mod)) == crt_lifts([(0, 1)] * len(primes), primes)
 
 
 def test_complement_closure():
