@@ -20,9 +20,12 @@ a constant idempotent of each family); `idempotents n --json` and
 `solve-trace n d`, text and --json, for each idempotent d of a fixed list
 of large moduli (LARGE_MODULI); `idempotents n --json` and `solve-trace
 n d`, text and --json, for the first, a middle and the last idempotent d
-of moduli of 6 to 16 primes (MANY_PRIME_MODULI); and `idempotents n` and
-`solve-trace n d` for each squarefree n <= N (default 3000) and each
-idempotent d of Z_n.
+of moduli of 6 to 16 primes (MANY_PRIME_MODULI); `idempotents n` and
+`solve-trace n d`, text and --json, over the 17 primes from 5
+(OVER_LIMIT_PRIMES), one past the enumeration limit, with d = 1, which
+raises BudgetExceeded, and d = 2, which raises NotIdempotentDet first;
+and `idempotents n` and `solve-trace n d` for each squarefree n <= N
+(default 3000) and each idempotent d of Z_n.
 For each such n that is p*q*r with primes > 3 (61 of them up to 3000) it
 also runs generate for every template: each nontrivial idempotent as
 --det of each family that reads it, also with --swap-roles for
@@ -91,8 +94,12 @@ LARGE_MODULI = ((5, 7, 20011), (5, 7, 40009), (5, 7, 59999), (5, 1009, 1013), (5
 
 # Moduli of m = 6 to 16 primes, the first m from 2 and the first m from 5:
 # the 2**m idempotents and trace solutions up to MAX_ENUMERATED_PRIMES
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 MANY_PRIME_MODULI = tuple(_PRIMES[k : k + m] for k in (0, 2) for m in range(6, 17))
+
+# The 17 primes from 5, one past MAX_ENUMERATED_PRIMES: the solver's checks
+# in order, a d that is not idempotent before the enumeration limit
+OVER_LIMIT_PRIMES = _PRIMES[2:]
 
 
 # Matrix documents the decoder rejects, one per message and precedence
@@ -290,6 +297,9 @@ def argv_list(max_n: int) -> list[list[str]]:
         out.append(["idempotents", n, "--json"])
         for d in map(str, (idems[0], idems[len(idems) // 2], idems[-1])):
             out += [["solve-trace", n, d], ["solve-trace", n, d, "--json"]]
+    n = str(prod(OVER_LIMIT_PRIMES))
+    for argv in (["idempotents", n], ["solve-trace", n, "1"], ["solve-trace", n, "2"]):
+        out += [argv, [*argv, "--json"]]
     for n, idems in squarefree_idempotents(max_n):
         out += [["idempotents", str(n)], ["idempotents", str(n), "--json"]]
         for d in idems:

@@ -41,7 +41,6 @@ from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product, zip_longest
 from math import gcd
-from operator import mul
 from types import MappingProxyType
 
 from .errors import (
@@ -64,8 +63,9 @@ from .families import (
     FAMILIES,
 )
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
-from .modarith import Modulus, crt_basis, mod_inverse
+from .modarith import Modulus, mod_inverse
 from .polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs, mul_coeffs
+from .znring import idempotent_of
 
 
 class ClassLabel(
@@ -150,13 +150,12 @@ def template_table(mod: Modulus) -> Mapping[tuple[int, int], Template]:
     """
     require_classification_scope(mod)
     n = mod.n
-    basis = crt_basis(mod)
     table: dict[tuple[int, int], Template] = {}
     # "0RI" orders both the table and each label's prime_roles
     for tau in product("0RI", repeat=3):
         if tau in (("0",) * 3, ("I",) * 3):
             continue
-        det, r = (sum(map(mul, [k == kind for k in tau], basis)) % n for kind in "IR")
+        det, r = (idempotent_of(mod, [k == kind for k in tau]) for kind in "IR")
         trace, stride = (2 * det + r) % n, gcd(r, n)
         offset = det % stride
         roles = tuple(p for kind in "0RI" for k, p in zip(tau, mod.primes) if k == kind)
@@ -196,8 +195,7 @@ def _label_index(mod: Modulus):
     for (d, t), tpl in template_table(mod).items():
         family = tpl.label.family
         labels[family, t if family == DET0_SCALED else d].append(tpl.label)
-    basis = crt_basis(mod)
-    pair_det, single_det = (sum(map(mul, bits, basis)) % mod.n for bits in ((0, 0, 1), (0, 1, 1)))
+    pair_det, single_det = (idempotent_of(mod, bits) for bits in ((0, 0, 1), (0, 1, 1)))
     return {key: sorted(group) for key, group in labels.items()}, pair_det, single_det
 
 
@@ -380,19 +378,18 @@ def generate(
     f: Poly | None = None,
     g: Poly | None = None,
     m: Poly | None = None,
-    rng: random.Random | None = None,
     seed: int | None = None,
     max_degree: int = 2,
 ) -> Mat2Poly:
     """Produce an idempotent matrix that classify() matches to label.
 
-    Free template parameters left as None are drawn from rng (or a
-    Random(seed), made only when e is drawn); the parameter bound by the
-    side condition is solved per coefficient.  Explicit parameters that
-    violate the side condition and cannot be repaired raise
-    UnsatisfiableParams, and so do a max_degree or an explicit parameter of
-    degree above MAX_GENERATE_DEGREE; an explicit parameter over another
-    modulus raises ModulusMismatch.  The result is idempotent by the
+    Free template parameters left as None are drawn from a Random(seed),
+    made only when e is drawn; the parameter bound by the side condition
+    is solved per coefficient.  Explicit parameters that violate the side
+    condition and cannot be repaired raise UnsatisfiableParams, and so do
+    a max_degree or an explicit parameter of degree above
+    MAX_GENERATE_DEGREE; an explicit parameter over another modulus
+    raises ModulusMismatch.  The result is idempotent by the
     template's certificate, checked once in template_table; generate
     checks only its det, the condition that depends on the parameters.
 
@@ -419,7 +416,7 @@ def generate(
         G = Mat2Poly.from_ints(n, d, 0, 0, d)
     else:
         if e is None:
-            e = _random_poly(random.Random(seed) if rng is None else rng, n, max_degree)
+            e = _random_poly(random.Random(seed), n, max_degree)
         params = [e.coeffs, None if f is None else f.coeffs, (1,) if g is None else g.coeffs]
         if fam == DET0_SCALED:
             # I * [[e, f], [g, 1-e]] is the strided matrix of k*e, k*f, k*g:

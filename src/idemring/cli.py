@@ -224,7 +224,7 @@ def _cmd_solve_trace(args) -> int:
         solutions = report.solver_solutions
     else:
         report = None
-        solutions = trace_candidates(mod, d).solutions
+        solutions = trace_candidates(mod, d)
     if args.json:
         doc = {
             "n": mod.n,
@@ -461,7 +461,13 @@ def build_parser():
     """
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse's own drops the write's OSError and exits 0, so a
+            # closed stdout pipe would pass for help given; main sees it
+            (file or sys.stdout).write(self.format_help())
+
+    parser = Parser(
         prog="idemring",
         description="Idempotents of Z_n, Z_n[x] and the 2x2 matrix ring over Z_n[x].",
     )
@@ -569,8 +575,12 @@ def parse_args(argv=None):
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     try:
+        try:
+            args = parse_args(argv)
+        finally:
+            # help exits from parse_args; a closed pipe shows in this flush
+            sys.stdout.flush()
         rc = args.func(args)
         # a reader that closed stdout shows here, not in the flush at exit
         sys.stdout.flush()

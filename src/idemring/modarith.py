@@ -163,7 +163,8 @@ def crt_basis(mod: Modulus) -> list[int]:
 
     e_p is 1 mod p and 0 mod every other prime, so the x in [0, n) with
     x = r_p (mod p) at each prime is sum(map(mul, residues, basis)) % n.
-    This is the one place the CRT is stated.
+    This is the one place the CRT is stated; znring's two idempotent
+    lifts are its only callers.
     """
     n = mod.n
     return [n // p * pow(n // p, -1, p) for p in mod.primes]

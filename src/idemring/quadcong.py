@@ -3,52 +3,33 @@
 from collections import namedtuple
 
 from .errors import InternalTheoremViolation, WrongPrimeCount
-from .modarith import Modulus, crt_basis
-from .znring import euler_closed_form, nontrivial_idempotents, pattern_of, power_form, require_enumerable
+from .modarith import Modulus
+from .znring import euler_closed_form, idempotent_lifts, nontrivial_idempotents, pattern_of, power_form
 
 
-TraceCandidateSet = namedtuple("TraceCandidateSet", "modulus det solutions")
+def trace_candidates(mod: Modulus, d: int) -> tuple[int, ...]:
+    """All t in [0, n) with t^2 = t + 2d (mod n) for an idempotent d, ascending.
 
-
-def trace_candidates(mod: Modulus, d: int) -> TraceCandidateSet:
-    """All t in [0, n) with t^2 = t + 2d (mod n) for an idempotent d.
-
-    An idempotent d is 0 or 1 mod each prime p, so t^2 - t - 2d factors
-    mod p as t(t - 1) or (t - 2)(t + 1): the roots are 0, 1 or 2, -1, read
-    off d's bit at p (pattern_of, which raises NotIdempotentDet for any
-    other d) in O(1).  The 2**m choices of one root per prime are lifted
-    by _solve from modarith's crt_basis, and every solution is checked.
-    The lifts are reduced mod n and collected in a set, so the roots need
-    no reduction mod p: 2, -1 are 0, 1 mod 2, and mod 3 they coincide (a
-    double root).  More than MAX_ENUMERATED_PRIMES primes raise
-    BudgetExceeded before the 2**m lifts start.
-    """
-    d %= mod.n
-    return _solve(mod, d, pattern_of(mod, d))
-
-
-def _solve(mod: Modulus, d: int, pattern) -> TraceCandidateSet:
-    """trace_candidates for a d in [0, n) whose per-prime bits are pattern.
-
-    2d is the lift of root 2 at each 1-bit prime and root 0 at each 0-bit
-    prime.  p's CRT basis element e_p is 1 mod p and 0 mod the other
-    primes, so adding e_p times the step to p's other root (-3 from 2 to
-    -1, +1 from 0 to 1) moves p's root alone.  The lifts are built by
-    doubling: each prime adds its step to every lift so far, 2**m - 1
-    additions in all.
+    An idempotent d is 0 or 1 mod each prime p (pattern_of raises
+    NotIdempotentDet for any other d), so t^2 - t - 2d factors mod p as
+    t(t - 1) where d = 0 and as (t - 2)(t + 1) where d = 1.  Over an
+    idempotent y, which is 0 or 1 mod p, t = 2d + (1 - 4d)*y is y mod p
+    where d = 0 and 2 - 3y mod p where d = 1: one root of each factor
+    per choice of y mod p.  So the solutions are exactly those t over the
+    2**m idempotents y, by CRT.  Mod 3 the roots 2, -1 coincide (a double
+    root), and the set absorbs the repeat.  More than MAX_ENUMERATED_PRIMES
+    primes raise BudgetExceeded before any y is made, and every solution
+    is checked.
     """
     n = mod.n
-    require_enumerable(mod)
-    lifts = [2 * d]
-    for bit, e in zip(pattern, crt_basis(mod)):
-        step = -3 * e if bit else e
-        lifts += [t + step for t in lifts]
-    sols = {t % n for t in lifts}
-    out = TraceCandidateSet(n, d, tuple(sorted(sols)))
-    for t in out.solutions:
+    d %= n
+    pattern_of(mod, d)  # NotIdempotentDet, before the enumeration limit
+    step = 1 - 4 * d
+    sols = tuple(sorted({(2 * d + step * y) % n for y in idempotent_lifts(mod)}))
+    for t in sols:
         if (t * t - t - 2 * d) % n:
             raise InternalTheoremViolation(f"{t} fails t^2 = t + 2*{d} (mod {n})")
-    return out
+    return sols
 
 
 FormulaEntry = namedtuple(
@@ -149,8 +130,8 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
             exprs.append((f"(2 - {wt})*{dt} + {wt}", (2 - w) * d + w))
             exprs.append((f"(-1 - {wt})*{dt} + {wt}", (-1 - w) * d + w))
     congruence = f"t^2 = t + 2*{dt} (mod {n})"
-    cands = _solve(mod, d, pat)
-    sol_set = set(cands.solutions)
+    solutions = trace_candidates(mod, d)
+    sol_set = set(solutions)
     # three primes, so each entry's residues and root flags are spelled out:
     # v mod p is a root exactly when p divides v^2 - v - 2d
     p1, p2, p3 = mod.primes
@@ -161,7 +142,7 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
         residues = (v % p1, v % p2, v % p3)
         flags = (w % p1 == 0, w % p2 == 0, w % p3 == 0)
         entries.append(FormulaEntry(text, v, residues, flags, v in sol_set))
-    return FormulaReport(n, mod.primes, d, pivot, congruence, cands.solutions, entries)
+    return FormulaReport(n, mod.primes, d, pivot, congruence, solutions, entries)
 
 
 def formula_discrepancy_survey(mod: Modulus) -> list[FormulaReport]:

@@ -58,7 +58,7 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
         full_scan = (tuple(hits[0]) == idems, f"scan found {len(hits[0])} idempotents")
         scanned = hits[0]
         solver_ok = all(
-            set(trace_candidates(mod, d).solutions) == set(hits[2 * d % n]) for d in idems
+            set(trace_candidates(mod, d)) == set(hits[2 * d % n]) for d in idems
         )
         solver_scan = (solver_ok, f"{len(idems)} determinants checked")
     checks.append(("full-scan", *full_scan))
@@ -107,7 +107,7 @@ def run_checks(mod: Modulus, budget: int) -> list[tuple[str, bool | None, str]]:
             and all(
                 (d, t) not in rep.det_trace_histogram
                 for d in nontrivial_idempotents(mod)
-                for t in set(trace_candidates(mod, d).solutions) - expected_trace_values(mod, d)
+                for t in set(trace_candidates(mod, d)) - expected_trace_values(mod, d)
             )
         )
         detail = f"{rep.total} matrices, {len(rep.unmatched)} unmatched, impossible traces absent"

@@ -1,7 +1,6 @@
-"""Idempotent structure of Z_n and the polynomial-ring scan oracle."""
+"""Idempotent structure of Z_n, the library's CRT lifts, and the polynomial-ring scan oracle."""
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import product
 from math import prod
 from operator import mul
@@ -26,22 +25,29 @@ def require_enumerable(mod: Modulus) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def enumerate_idempotents(mod: Modulus) -> tuple[int, ...]:
-    """All 2**m solutions of y*y = y (mod n), ascending.
+def idempotent_lifts(mod: Modulus) -> list[int]:
+    """The 2**m idempotents of Z_n, unreduced and unsorted: one per pattern.
 
-    Each solution is the CRT combination of a choice of 0 or 1 at every
-    prime factor, so the count is exactly 2**m; more than
+    Each is the CRT lift of a choice of 0 or 1 at every prime factor, a
+    subset sum of the CRT basis, built by doubling: each basis element is
+    added to every sum so far, 2**m - 1 additions in all.  More than
     MAX_ENUMERATED_PRIMES primes raise BudgetExceeded before any is made.
-    The combinations are the subset sums of the CRT basis, built by
-    doubling: each basis element is added to every sum so far, 2**m - 1
-    additions in all.
     """
     require_enumerable(mod)
     sums = [0]
     for e in crt_basis(mod):
         sums += [y + e for y in sums]
-    return tuple(sorted(y % mod.n for y in sums))
+    return sums
+
+
+def enumerate_idempotents(mod: Modulus) -> tuple[int, ...]:
+    """All 2**m solutions of y*y = y (mod n), ascending: idempotent_lifts reduced."""
+    return tuple(sorted(y % mod.n for y in idempotent_lifts(mod)))
+
+
+def idempotent_of(mod: Modulus, bits) -> int:
+    """The idempotent of Z_n that is bits[i] mod the i-th prime: pattern_of's inverse."""
+    return sum(map(mul, bits, crt_basis(mod))) % mod.n
 
 
 def nontrivial_idempotents(mod: Modulus) -> tuple[int, ...]:
@@ -112,7 +118,7 @@ def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:
     # a value in [0, n) is the CRT combination of pat exactly when it is 0
     # mod the 0-bit primes and 1 mod the 1-bit primes
     if value % prod(zeros) or (value - 1) % prod(ones):
-        expected = sum(map(mul, pat, crt_basis(mod))) % mod.n
+        expected = idempotent_of(mod, pat)
         raise InternalTheoremViolation(
             f"closed form {text} = {value} but CRT gives {expected} (mod {mod.n})"
         )
@@ -125,11 +131,10 @@ def closed_form_cross_check(mod: Modulus) -> list[tuple]:
     The CRT value is computed apart from the formula; euler_closed_form
     raises InternalTheoremViolation before any row could disagree.
     """
-    basis = crt_basis(mod)
     rows = []
     for pat in product((0, 1), repeat=3):
         value, text = euler_closed_form(mod, pat)
-        rows.append((pat, sum(map(mul, pat, basis)) % mod.n, text, value))
+        rows.append((pat, idempotent_of(mod, pat), text, value))
     return rows
 
 

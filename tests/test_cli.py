@@ -348,7 +348,7 @@ def test_verify_solver_scan_catches_a_missing_trace(monkeypatch, capsys, n, det)
 
     def one_short(mod, d):
         cands = solve(mod, d)
-        return cands._replace(solutions=cands.solutions[1:]) if d == det else cands
+        return cands[1:] if d == det else cands
 
     monkeypatch.setattr(verify, "trace_candidates", one_short)
     rc, out, _ = run(capsys, "verify", str(n), "--budget", str(n))
@@ -510,8 +510,11 @@ def test_solve_trace_large_prime_factor_json():
         # a few KB, held in stdout's buffer: the reader is gone before the
         # child writes at all
         (["solve-trace", "700385", "80045", "--json"], 0),
+        # argparse's help, whose own write drops the error and exits 0
+        (["--help"], 0),
+        (["solve-trace", "--help"], 0),
     ],
-    ids=["large-output", "buffered-output"],
+    ids=["large-output", "buffered-output", "help", "verb-help"],
 )
 def test_a_closed_stdout_pipe_exits_1_without_a_traceback(entry, argv, read):
     src = str(Path(idemring.__file__).resolve().parents[1])

@@ -112,3 +112,17 @@ def test_the_list_runs_moduli_of_6_to_16_primes():
         dets = {argv[2] for argv in argvs if argv[:2] == ["solve-trace", n]}
         assert dets == {str(idems[0]), str(idems[len(idems) // 2]), str(idems[-1])}
         assert sum(argv[:2] == ["solve-trace", n] for argv in argvs) == 6
+
+
+def test_the_list_runs_a_modulus_one_prime_past_the_enumeration_limit():
+    argvs = compare_outputs.argv_list(40)
+    primes = compare_outputs.OVER_LIMIT_PRIMES
+    assert len(primes) == 17 and primes[0] == 5
+    n = str(prod(primes))
+    runs = [argv for argv in argvs if n in argv]
+    # idempotents and d = 1 exceed the limit; d = 2 is not idempotent
+    assert runs == [
+        [*argv, *flag]
+        for argv in (["idempotents", n], ["solve-trace", n, "1"], ["solve-trace", n, "2"])
+        for flag in ((), ("--json",))
+    ]

@@ -19,7 +19,7 @@ from idemring.znring import enumerate_idempotents
 
 def prime_roots(p, d):
     """The roots of t^2 = t + 2d modulo the prime p, through the solver."""
-    return trace_candidates(factor_squarefree(p), d).solutions
+    return trace_candidates(factor_squarefree(p), d)
 
 
 def test_prime_roots_examples():
@@ -53,19 +53,19 @@ def test_prime_roots_match_sympy_large_p(p):
             for q in mod.primes
         ]
         expect = sorted(int(crt(mod.primes, combo)[0]) for combo in product(*per_prime))
-        assert list(trace_candidates(mod, d).solutions) == expect, d
+        assert list(trace_candidates(mod, d)) == expect, d
 
 
 def test_trace_candidates_105(mod105):
-    assert trace_candidates(mod105, 36).solutions == (9, 27, 34, 37, 69, 72, 79, 97)
+    assert trace_candidates(mod105, 36) == (9, 27, 34, 37, 69, 72, 79, 97)
 
 
 def test_trace_candidates_det0_gives_idempotents(mod385):
-    assert trace_candidates(mod385, 0).solutions == enumerate_idempotents(mod385)
+    assert trace_candidates(mod385, 0) == enumerate_idempotents(mod385)
 
 
 def test_trace_candidates_385_contains_expected(mod385):
-    sols = trace_candidates(mod385, 210).solutions
+    sols = trace_candidates(mod385, 210)
     assert 35 in sols and 211 in sols
     assert len(sols) == 8
 
@@ -77,7 +77,7 @@ def test_trace_candidates_not_idempotent(mod105):
 
 def test_trace_candidates_enumeration_limit(monkeypatch):
     monkeypatch.setattr(znring, "MAX_ENUMERATED_PRIMES", 4)
-    assert len(trace_candidates(factor_squarefree(5 * 7 * 11 * 13), 1).solutions) == 16
+    assert len(trace_candidates(factor_squarefree(5 * 7 * 11 * 13), 1)) == 16
     with pytest.raises(BudgetExceeded):
         trace_candidates(factor_squarefree(5 * 7 * 11 * 13 * 17), 1)
     # an idempotency failure is still reported first
@@ -89,7 +89,7 @@ def test_solver_equals_scan_small_moduli():
     for n in (105, 385, 455):
         mod = factor_squarefree(n)
         for d in enumerate_idempotents(mod):
-            assert list(trace_candidates(mod, d).solutions) == scan_trace_solutions(n, d)
+            assert list(trace_candidates(mod, d)) == scan_trace_solutions(n, d)
 
 
 def test_solver_equals_scan_sweep_1500():
@@ -103,7 +103,7 @@ def test_solver_equals_scan_sweep_1500():
         if mod.m != 3 and n > 500:
             continue
         for d in enumerate_idempotents(mod):
-            assert list(trace_candidates(mod, d).solutions) == scan_trace_solutions(n, d)
+            assert list(trace_candidates(mod, d)) == scan_trace_solutions(n, d)
 
 
 @pytest.mark.parametrize("primes", MANY_PRIMES, ids=lambda primes: f"m{len(primes)}-from{primes[0]}")
@@ -117,18 +117,18 @@ def test_solver_equals_the_naive_lift(primes):
         idems = idems[1 :: len(idems) // (5 if len(primes) == 12 else 2)]
     for d in idems:
         roots = [{2, p - 1} if d % p else (0, 1) for p in primes]
-        assert list(trace_candidates(mod, d).solutions) == crt_lifts(roots, primes), d
+        assert list(trace_candidates(mod, d)) == crt_lifts(roots, primes), d
 
 
 def test_cardinality_eight_above_three(mod385, mod455):
     for mod in (mod385, mod455):
         for d in enumerate_idempotents(mod):
-            assert len(trace_candidates(mod, d).solutions) == 8
+            assert len(trace_candidates(mod, d)) == 8
 
 
 def test_cardinality_drops_with_prime_3(mod105):
     # d = 85 is 1 mod 3, so the double root halves the count twice over
-    assert len(trace_candidates(mod105, 85).solutions) == 4
+    assert len(trace_candidates(mod105, 85)) == 4
     counts = [len(scan_prime_roots(p, 2 * 85)) for p in mod105.primes]
     assert counts == [1, 2, 2]
 
@@ -137,7 +137,7 @@ def test_basic_solutions_always_present(mod105, mod385, mod455):
     for mod in (mod105, mod385, mod455):
         n = mod.n
         for d in enumerate_idempotents(mod):
-            sols = set(trace_candidates(mod, d).solutions)
+            sols = set(trace_candidates(mod, d))
             assert {2 * d % n, (d + 1) % n, -d % n, (1 - 2 * d) % n} <= sols
 
 

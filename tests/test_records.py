@@ -37,7 +37,6 @@ def records(mod385, completeness385):
     return [
         mod385,
         exponent_variant_check(mod385)[0],
-        trace_candidates(mod385, 210),
         report.entries[0],
         report,
         make_label(mod385, DET0_GENERAL),
@@ -49,7 +48,9 @@ def records(mod385, completeness385):
 
 def test_records_are_immutable(mod385, completeness385):
     recs = records(mod385, completeness385)
-    assert len({type(r).__name__ for r in recs}) == 9
+    assert len({type(r).__name__ for r in recs}) == 8
+    # the trace solver returns a plain tuple, no record
+    assert type(trace_candidates(mod385, 210)) is tuple
     for rec in recs:
         for name in rec._fields:
             # assigning the value it already holds: a failure mutates nothing

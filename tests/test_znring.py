@@ -180,7 +180,6 @@ def test_poly_bruteforce_budget(mod105):
 def test_enumeration_limit_is_on_the_prime_count(monkeypatch):
     # the limit is read at call time; 2310 = 2*3*5*7*11 has five primes
     monkeypatch.setattr(znring, "MAX_ENUMERATED_PRIMES", 4)
-    enumerate_idempotents.cache_clear()
     assert len(enumerate_idempotents(factor_squarefree(210))) == 16
     with pytest.raises(BudgetExceeded, match=r"^2\^5 CRT combinations over 5 primes exceed the limit 2\^4$"):
         enumerate_idempotents(factor_squarefree(2310))
