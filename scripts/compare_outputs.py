@@ -340,6 +340,25 @@ def outputs(checkout: Path, argvs: list[list[str]], out: Path) -> None:
         sys.exit(f"error: {checkout}: the child exited {proc.returncode}:\n{proc.stderr}")
 
 
+def compare(argvs: list[list[str]], parent: Path, change: Path) -> int:
+    """Print each argv whose line differs between the outputs files parent
+    and change (as written by outputs), with the parts that differ and the
+    first differing line of each, then the summary line; return the number
+    of argv that differ."""
+    differ = 0
+    with parent.open() as old_lines, change.open() as new_lines:
+        for argv, p, c in zip(argvs, map(json.loads, old_lines), map(json.loads, new_lines)):
+            parts = [(name, a, b) for name, a, b in zip(PARTS, p, c) if a != b]
+            if parts:
+                differ += 1
+                print(f"differs ({', '.join(name for name, _, _ in parts)}): {' '.join(argv)}")
+                for name, a, b in parts:
+                    line, old, new = first_difference(a, b)
+                    print(f"  {name} line {line}:\n    parent: {old}\n    change: {new}")
+    print(f"compared {len(argvs)} argv: {differ} differ")
+    return differ
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -347,21 +366,11 @@ def main() -> None:
     ap.add_argument("--max-n", type=int, default=3000, help="largest n of the idempotents/solve-trace sweep")
     args = ap.parse_args()
     argvs = argv_list(args.max_n)
-    differ = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         files = Path(tmp) / "parent.jsonl", Path(tmp) / "change.jsonl"
         for checkout, out in zip((args.parent, args.change), files):
             outputs(checkout, argvs, out)
-        with files[0].open() as parent, files[1].open() as change:
-            for argv, p, c in zip(argvs, map(json.loads, parent), map(json.loads, change)):
-                parts = [(name, a, b) for name, a, b in zip(PARTS, p, c) if a != b]
-                if parts:
-                    differ += 1
-                    print(f"differs ({', '.join(name for name, _, _ in parts)}): {' '.join(argv)}")
-                    for name, a, b in parts:
-                        line, old, new = first_difference(a, b)
-                        print(f"  {name} line {line}:\n    parent: {old}\n    change: {new}")
-    print(f"compared {len(argvs)} argv: {differ} differ")
+        differ = compare(argvs, *files)
     sys.exit(1 if differ else 0)
 
 

@@ -65,7 +65,8 @@ def _dumps(doc) -> str:
 
     doc is a dict, list or tuple built from dicts with str keys, lists,
     tuples and scalars of exact type str, int, bool or None; anything else
-    raises TypeError.
+    raises TypeError, except a str-subclass key in an object of a shape
+    already written (see _encode).
     """
     parts: list[str] = []
     _encode(doc, 0, parts.append)
@@ -85,44 +86,78 @@ def _separators(depth: int) -> tuple[str, str, str, str, str]:
 _SEPARATORS = tuple(map(_separators, range(8)))
 
 
+# (depth, *keys) of an object -> its members and closing, from _members.  The
+# table stops growing at _MAX_SHAPES shapes and keeps no object of more than
+# _MAX_KEYS keys, so no caller can grow it without limit; the documents the
+# CLI and report_files write have about two dozen shapes of at most 10 keys
+_MEMBERS: dict[tuple, tuple[tuple[tuple[str, str], ...], str]] = {}
+_MAX_SHAPES = 256
+_MAX_KEYS = 64
+
+
+def _members(value: dict, depth: int) -> tuple[tuple[tuple[str, str], ...], str]:
+    """(members, closing) of the object value, nested depth deep.
+
+    members lists (key, prefix) in sorted key order; prefix is the text
+    written before the key's value: the separator, the encoded key and
+    ': '.  Raises TypeError when a key is not exactly a str.
+    """
+    sep, _, comma, close, _ = _SEPARATORS[depth] if depth < 8 else _separators(depth)
+    members = []
+    for key in sorted(value):
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        members.append((key, f"{sep}{encode_basestring_ascii(key)}: "))
+        sep = comma
+    return tuple(members), close
+
+
 def _encode(value, depth: int, put) -> None:
     """Append the container value, nested depth deep, to put.
 
     A container looks its separators up in _SEPARATORS instead of building
-    them.  Scalars are encoded in the loops, so only containers recurse; an
-    object member is one string: separator, key and value.  Each scalar's
-    exact type is tested inline, ints (the most common) first; a bool, an
-    IntEnum member or a str subclass is neither an int nor a str here, so
-    only True, False and None are written as the rest.  Dicts and lists
-    keep separate loops: one loop over (key prefix, item) pairs for both
-    took about 1.5x as long on solve-trace documents.
+    them, and an object its members in _MEMBERS: the first object of each
+    shape (its depth and its keys, in order) sorts the keys, tests that each
+    is exactly a str and encodes them, and every later one writes each
+    member's prefix and value.  A key that only equals a str of a shape
+    already written (an instance of a str subclass) finds that shape and is
+    written as the str it equals, as json.dumps writes it.  Scalars are
+    encoded in the loops, so only containers recurse.  Each scalar's exact
+    type is tested inline, ints (the most common) first; a bool, an IntEnum
+    member or a str subclass is neither an int nor a str here, so only
+    True, False and None are written as the rest.  Dicts and lists keep
+    separate loops: one loop over (key prefix, item) pairs for both took
+    about 1.5x as long on solve-trace documents.
     """
     if isinstance(value, dict):
         if not value:
             put("{}")
             return
-        sep, _, comma, close, _ = _SEPARATORS[depth] if depth < 8 else _separators(depth)
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        shape = (depth, *value)
+        entry = _MEMBERS.get(shape)
+        if entry is None:
+            entry = _members(value, depth)
+            if len(_MEMBERS) < _MAX_SHAPES and len(value) <= _MAX_KEYS:
+                _MEMBERS[shape] = entry
+        members, close = entry
+        for key, prefix in members:
             item = value[key]
             kind = type(item)
             if kind is int:
-                put(f"{sep}{encode_basestring_ascii(key)}: {item}")
+                put(f"{prefix}{item}")
             elif kind is str:
-                put(f"{sep}{encode_basestring_ascii(key)}: {encode_basestring_ascii(item)}")
+                put(prefix + encode_basestring_ascii(item))
             elif item is True:
-                put(f"{sep}{encode_basestring_ascii(key)}: true")
+                put(prefix + "true")
             elif item is False:
-                put(f"{sep}{encode_basestring_ascii(key)}: false")
+                put(prefix + "false")
             elif item is None:
-                put(f"{sep}{encode_basestring_ascii(key)}: null")
+                put(prefix + "null")
             elif isinstance(item, (dict, list, tuple)):
-                put(f"{sep}{encode_basestring_ascii(key)}: ")
+                put(prefix)
                 _encode(item, depth + 1, put)
             else:
                 raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-            sep = comma
         put(close)
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -228,9 +263,9 @@ def _cmd_solve_trace(args) -> int:
     if args.json:
         doc = {
             "n": mod.n,
-            "primes": list(mod.primes),
+            "primes": mod.primes,
             "det": d,
-            "solutions": list(solutions),
+            "solutions": solutions,
             "closed_forms": report.to_dict() if report else None,
         }
         print(_dumps(doc))

@@ -53,11 +53,11 @@ class FormulaReport(
     def to_dict(self) -> dict:
         return {
             "modulus": self.modulus,
-            "primes": list(self.primes),
+            "primes": self.primes,
             "det": self.det,
             "pivot": self.pivot,
             "congruence": self.congruence,
-            "solver_solutions": list(self.solver_solutions),
+            "solver_solutions": self.solver_solutions,
             "entries": [
                 {
                     "formula": e.formula,

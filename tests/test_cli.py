@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from math import prod
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import idemring
 from idemring import cli, verify, znring
+from idemring.classify import CompletenessReport
 from idemring.cli import _dumps, build_parser, main, parse_args
 from idemring.errors import InternalTheoremViolation
 from idemring.mat2 import Mat2Poly, matrix_from_document
@@ -384,6 +386,32 @@ def test_verify_counts_distinct_idempotents(monkeypatch, mod385):
     monkeypatch.setattr(verify, "enumerate_idempotents", lambda mod: (idems[0], *idems[:-1]))
     checks = {name: (ok, detail) for name, ok, detail in verify.run_checks(mod385, 0)}
     assert checks["idempotent-count"] == (False, "7 = 2^3")
+
+
+def test_verify_closure_fails_when_1_minus_y_is_missing(monkeypatch, capsys, mod385):
+    # without 1, 1 - 0 leaves the enumeration while every y^2 = y still holds
+    idems = verify.enumerate_idempotents(mod385)
+    monkeypatch.setattr(verify, "enumerate_idempotents", lambda mod: tuple(y for y in idems if y != 1))
+    rc, out, _ = run(capsys, "verify", "385", "--budget", "0")
+    assert rc == 1
+    assert "FAIL idempotent-closure: y^2 = y holds and 1-y stays inside" in out.splitlines()
+
+
+def test_verify_completeness_fails_on_a_det_that_is_not_idempotent(monkeypatch, capsys):
+    # a report whose det histogram holds 2, with nothing unmatched and no
+    # impossible trace: only the det support check can fail the row
+    def two(mod, budget):
+        return CompletenessReport(
+            modulus=mod.n, primes=mod.primes, total=1, trivial=0, family_counts=Counter(),
+            det_histogram=Counter({2: 1}), det_trace_histogram=Counter(), unmatched=[],
+            match_multiplicity=Counter(), mixed_offsets={}, elapsed_seconds=0.0,
+        )
+
+    monkeypatch.setattr(verify, "completeness_check", two)
+    rc, out, _ = run(capsys, "verify", "385")
+    assert rc == 1
+    assert "FAIL matrix-completeness: 1 matrices, 0 unmatched, impossible traces absent" in out.splitlines()
+    assert sum(line.startswith("FAIL ") for line in out.splitlines()) == 1
 
 
 def test_verify_non_matrix_modulus(capsys):
@@ -872,3 +900,54 @@ def test_dumps_rejects_subclasses_of_int_and_str(scalar, wrap):
 def test_dumps_rejects_other_types(doc):
     with pytest.raises(TypeError):
         _dumps(doc)
+
+
+def test_dumps_one_key_set_at_two_depths_in_two_orders(monkeypatch):
+    # a shape is its depth and its keys in insertion order: the keys a and b
+    # at depths 0-3, in both orders, make five shapes, written from a cold
+    # table and again from the warm one
+    monkeypatch.setattr(cli, "_MEMBERS", {})
+    doc = {
+        "b": {"a": 1, "b": [2, "x"]},
+        "a": {"b": None, "a": {"a": True, "b": {"b": False, "a": -3}}},
+    }
+    expected = json.dumps(doc, indent=2, sort_keys=True)
+    assert _dumps(doc) == expected
+    assert sorted((shape[0], shape[1:]) for shape in cli._MEMBERS) == [
+        (0, ("b", "a")), (1, ("a", "b")), (1, ("b", "a")), (2, ("a", "b")), (3, ("b", "a")),
+    ]
+    assert _dumps(doc) == expected
+    assert len(cli._MEMBERS) == 5
+
+
+def test_dumps_tests_the_keys_of_a_shape_not_seen_before(monkeypatch):
+    # a key is tested when its shape is first written: a bytes key or a str
+    # subclass key in a new shape raises TypeError, and nothing is kept for
+    # that shape; the object holding it was kept before it was reached
+    monkeypatch.setattr(cli, "_MEMBERS", {})
+    for doc, kind in (({b"k": 1}, "bytes"), ({_Text("k"): 1}, "_Text"), ({"a": {2: 3}}, "int")):
+        for _ in range(2):
+            with pytest.raises(TypeError, match=f"^keys must be str, not {kind}$"):
+                _dumps(doc)
+    assert list(cli._MEMBERS) == [(0, "a")]
+    # once {"k": ...} is a known shape, a str subclass key equal to "k"
+    # finds it and is written as the str it equals, as json.dumps writes it
+    assert _dumps({"k": 1}) == '{\n  "k": 1\n}'
+    assert _dumps({_Text("k"): 2}) == json.dumps({_Text("k"): 2}, indent=2, sort_keys=True)
+
+
+def test_dumps_keeps_writing_new_shapes_once_its_table_is_full(monkeypatch):
+    monkeypatch.setattr(cli, "_MEMBERS", {})
+    shapes = [{f"k{i}": i, "z": [i]} for i in range(cli._MAX_SHAPES)]
+    for doc in shapes:
+        _dumps(doc)
+    assert len(cli._MEMBERS) == cli._MAX_SHAPES
+    full = dict(cli._MEMBERS)
+    for doc in ({"new": {"shape": 1}}, {"x": 1, "w": "2"}, shapes[0]):
+        assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert cli._MEMBERS == full
+    # nor is an object of more than _MAX_KEYS keys kept
+    monkeypatch.setattr(cli, "_MEMBERS", {})
+    wide = {f"k{i:03}": i for i in range(cli._MAX_KEYS + 1)}
+    assert _dumps(wide) == json.dumps(wide, indent=2, sort_keys=True)
+    assert cli._MEMBERS == {}

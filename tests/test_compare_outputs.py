@@ -1,9 +1,10 @@
 import importlib.util
 import shutil
-import subprocess
-import sys
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"
@@ -16,11 +17,28 @@ def _tree(root: Path) -> dict:
     return {p: p.stat().st_mtime_ns for p in root.rglob("*")}
 
 
-def _compare(parent: Path, change: Path) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), str(parent), str(change), "--max-n", "40"],
-        capture_output=True, text=True, timeout=120,
-    )
+# the argv list of `compare_outputs.py PARENT CHANGE --max-n 40`
+ARGVS = compare_outputs.argv_list(40)
+
+
+@pytest.fixture(scope="module")
+def repo_outputs(tmp_path_factory) -> Path:
+    """The repo's outputs over ARGVS, written once: the parent side of every
+    comparison below."""
+    out = tmp_path_factory.mktemp("compare-outputs") / "parent.jsonl"
+    compare_outputs.outputs(ROOT, ARGVS, out)
+    return out
+
+
+def _compare(parent_outputs: Path, change: Path, tmp_path: Path, capsys) -> SimpleNamespace:
+    """What the script run on the repo and change prints and exits with,
+    the repo's side read from parent_outputs."""
+    out = tmp_path / "change.jsonl"
+    compare_outputs.outputs(change, ARGVS, out)
+    capsys.readouterr()
+    differ = compare_outputs.compare(ARGVS, parent_outputs, out)
+    captured = capsys.readouterr()
+    return SimpleNamespace(returncode=1 if differ else 0, stdout=captured.out, stderr=captured.err)
 
 
 def _report(stdout: str) -> tuple[dict, str]:
@@ -42,9 +60,9 @@ def test_first_difference_numbers_lines_from_one_and_marks_a_missing_line():
     assert first_difference("a", "a\n") == (2, "(no line)", "")
 
 
-def test_the_repo_against_itself():
+def test_the_repo_against_itself(repo_outputs, tmp_path, capsys):
     before = _tree(ROOT / "src")
-    proc = _compare(ROOT, ROOT)
+    proc = _compare(repo_outputs, ROOT, tmp_path, capsys)
     assert proc.returncode == 0, proc.stderr
     [summary] = proc.stdout.splitlines()
     assert summary.startswith("compared ") and summary.endswith(" argv: 0 differ")
@@ -52,13 +70,13 @@ def test_the_repo_against_itself():
     assert _tree(ROOT / "src") == before
 
 
-def test_a_changed_line_of_text_output_is_reported(tmp_path):
+def test_a_changed_line_of_text_output_is_reported(repo_outputs, tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     quadcong = tmp_path / "src" / "idemring" / "quadcong.py"
     text = quadcong.read_text()
     assert 'f"discrepancies: {' in text
     quadcong.write_text(text.replace('f"discrepancies: {', 'f"discrepancy count: {'))
-    proc = _compare(ROOT, tmp_path)
+    proc = _compare(repo_outputs, tmp_path, tmp_path, capsys)
     assert proc.returncode == 1, proc.stderr
     report, summary = _report(proc.stdout)
     differ = list(report)
@@ -77,13 +95,13 @@ def test_a_changed_line_of_text_output_is_reported(tmp_path):
         assert line.startswith("differs (stdout): solve-trace ") and not line.endswith("--json")
 
 
-def test_a_reworded_decoder_message_is_reported(tmp_path):
+def test_a_reworded_decoder_message_is_reported(repo_outputs, tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     mat2 = tmp_path / "src" / "idemring" / "mat2.py"
     text = mat2.read_text()
     assert text.count('"trailing zero coefficients are forbidden"') == 1
     mat2.write_text(text.replace('"trailing zero coefficients are forbidden"', '"trailing zeros are forbidden"'))
-    proc = _compare(ROOT, tmp_path)
+    proc = _compare(repo_outputs, tmp_path, tmp_path, capsys)
     assert proc.returncode == 1, proc.stderr
     report, summary = _report(proc.stdout)
     assert summary.endswith(" argv: 4 differ")

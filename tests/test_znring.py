@@ -7,7 +7,7 @@ from oracles import MANY_PRIMES, crt, crt_lifts, evaluate_closed_form, scan_poly
 
 from idemring.errors import BudgetExceeded, WrongPrimeCount
 from idemring.modarith import Modulus, factor_squarefree
-from idemring import znring
+from idemring import polyring, znring
 from idemring.znring import (
     enumerate_idempotents,
     euler_closed_form,
@@ -167,6 +167,38 @@ def test_poly_bruteforce_matches_literal_scan():
             cs.pop()
         normalized.add(tuple(cs))
     assert {u.coeffs for u in polys} == normalized
+
+
+def _satisfying_prefixes(n: int, k: int) -> int:
+    """How many (c_0, ..., c_{k-1}) in Z_n^k meet the first k coefficient
+    equations of u*u = u, by a scan of all n**k of them."""
+    return sum(
+        all((sum(cs[i] * cs[j - i] for i in range(j + 1)) - cs[j]) % n == 0 for j in range(k))
+        for cs in product(range(n), repeat=k)
+    )
+
+
+@pytest.mark.parametrize("primes, top", [((2, 3, 5), 2), ((3, 5, 7), 1), ((2, 3), 3)], ids=["30", "105", "6"])
+def test_poly_bruteforce_squares_each_satisfying_prefix_once(monkeypatch, primes, top):
+    # the scan squares each prefix of length 1..D it reaches, to read the
+    # next equation, and each full vector that survives, to verify it: one
+    # product per prefix of length 1..D+1 that meets its equations.  3
+    # divides n: where c_0 = 1 mod 3, 2*c_0 + 1 = 0 mod 3, so a scan that
+    # took that for the slope 2*c_0 - 1 would keep three c_1 there, not one
+    mod = Modulus(prod(primes), primes)
+    mul_coeffs = polyring.mul_coeffs
+    calls = 0
+
+    def counted(a, b, n):
+        nonlocal calls
+        calls += 1
+        return mul_coeffs(a, b, n)
+
+    monkeypatch.setattr(polyring, "mul_coeffs", counted)
+    for degree in range(top + 1):
+        calls = 0
+        poly_idempotents_bruteforce(mod, degree)
+        assert calls == sum(_satisfying_prefixes(mod.n, k) for k in range(1, degree + 2)), degree
 
 
 def test_poly_bruteforce_budget(mod105):
