@@ -11,21 +11,22 @@ list covers every verb, in text and with --json where the verb has it;
 help; a set of usage and coded errors; generate with explicit --e, --f
 and --g (an f that meets the side condition, one that does not, a g that
 is not a unit constant mod the side; both scalar families too), at
---degree 20, and at --degree 1000 for det0-general and detpair-shift over
-385 and 5*7*999999999989; generate --out files classified back; verify
-with checks skipped over its --budget; classify, text and --json, on a
-fixed set of malformed matrix documents (MALFORMED_DOCUMENTS) and of
-well-formed ones (WELL_FORMED_DOCUMENTS: zero, identity, non-idempotents,
-a constant idempotent of each family); `idempotents n --json` and
-`solve-trace n d`, text and --json, for each idempotent d of a fixed list
-of large moduli (LARGE_MODULI); `idempotents n --json` and `solve-trace
-n d`, text and --json, for the first, a middle and the last idempotent d
-of moduli of 6 to 16 primes (MANY_PRIME_MODULI); `idempotents n` and
-`solve-trace n d`, text and --json, over the 17 primes from 5
-(OVER_LIMIT_PRIMES), one past the enumeration limit, with d = 1, which
-raises BudgetExceeded, and d = 2, which raises NotIdempotentDet first;
-and `idempotents n` and `solve-trace n d` for each squarefree n <= N
-(default 3000) and each idempotent d of Z_n.
+--degree 20, and at --degree 1000 for det0-general and the two shift and
+the mixed families over 385 and 5*7*999999999989, each --out file
+classified back in text and --json; generate --out files classified
+back; verify with checks skipped over its --budget; classify, text and
+--json, on a fixed set of malformed matrix documents (MALFORMED_DOCUMENTS)
+and of well-formed ones (WELL_FORMED_DOCUMENTS: zero, identity,
+non-idempotents, a constant idempotent of each family); `idempotents n
+--json` and `solve-trace n d`, text and --json, for each idempotent d of
+a fixed list of large moduli (LARGE_MODULI); `idempotents n --json` and
+`solve-trace n d`, text and --json, for the first, a middle and the last
+idempotent d of moduli of 6 to 16 primes (MANY_PRIME_MODULI);
+`idempotents n` and `solve-trace n d`, text and --json, over the 17
+primes from 5 (OVER_LIMIT_PRIMES), one past the enumeration limit,
+with d = 1, which raises BudgetExceeded, and d = 2, which raises
+NotIdempotentDet first; and `idempotents n` and `solve-trace n d` for
+each squarefree n <= N (default 3000) and each idempotent d of Z_n.
 For each such n that is p*q*r with primes > 3 (61 of them up to 3000) it
 also runs generate for every template: each nontrivial idempotent as
 --det of each family that reads it, also with --swap-roles for
@@ -273,8 +274,10 @@ def argv_list(max_n: int) -> list[list[str]]:
         out += [["classify", f"malformed-{k}.json"], ["classify", f"malformed-{k}.json", "--json"]]
     for k in range(len(WELL_FORMED_DOCUMENTS)):
         out += [["classify", f"well-formed-{k}.json"], ["classify", f"well-formed-{k}.json", "--json"]]
-    # at generate's degree limit, where products take the packed path
-    for family, n in product(("det0-general", "detpair-shift"), ("385", str(5 * 7 * 999999999989))):
+    # at generate's degree limit, where products take the packed path, in
+    # generate and in classify's witnesses of the shift and mixed families
+    degree_1000 = ("det0-general", "detpair-shift", "detsingle-shift", "detpair-mixed")
+    for family, n in product(degree_1000, ("385", str(5 * 7 * 999999999989))):
         path = f"{family}-{n}-degree-1000.json"
         out += [
             ["generate", family, "--n", n, "--degree", "1000", "--out", path],

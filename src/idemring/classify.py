@@ -64,7 +64,7 @@ from .families import (
 )
 from .mat2 import MAX_ENTRY_DEGREE, Mat2Poly
 from .modarith import Modulus, mod_inverse
-from .polyring import MAX_GENERATE_DEGREE, Poly, divide_coeffs, mul_coeffs
+from .polyring import MAX_GENERATE_DEGREE, Poly, _reduced, mul_coeffs
 from .znring import idempotent_of
 
 
@@ -256,9 +256,10 @@ def _match_template(G, tpl):
     the stride form is equivalent to every family's side condition
     (det0-general's e(1-e) = g*f, the annihilator and side
     divisibilities, the mixed det equation), so the quotient k below is
-    exact.  Witnesses are presented per family: det0-general and
-    det0-scaled report the undivided entries, the shift and mixed families
-    the entries divided by the stride.
+    exact; a remainder raises InternalTheoremViolation too.  Witnesses
+    are presented per family: det0-general and det0-scaled report the
+    undivided entries, the shift and mixed families the entries divided
+    by the stride, computed on coefficient lists.
     """
     n, sigma, u, family = G.n, tpl.stride, tpl.offset, tpl.label.family
     e_off = [(G.e.coeff(0) - u) % n, *G.e.coeffs[1:]]
@@ -268,11 +269,23 @@ def _match_template(G, tpl):
         return {"e": G.e, "f": G.f, "g": G.g}
     if family in (DETPAIR_SCALAR, DETSINGLE_SCALAR):
         return {}
-    e, f, g = (Poly(n, [c // sigma for c in cs]) for cs in (e_off, G.f.coeffs, G.g.coeffs))
+    # residues in [0, side), so in [0, n) as mul_coeffs needs
+    e, f, g = ([c // sigma for c in cs] for cs in (e_off, G.f.coeffs, G.g.coeffs))
+    witnesses = {"e": _reduced(n, e), "f": _reduced(n, f), "g": _reduced(n, g)}
     if family == DETPAIR_MIXED:
-        return {"e": e, "f": f, "g": g, "u": u, "diag_constant": G.e.coeff(0)}
-    side = e * (1 + sigma * e) + sigma * (g * f)
-    return {"e": e, "f": f, "g": g, "k": divide_coeffs(side, tpl.side)}
+        return {**witnesses, "u": u, "diag_constant": G.e.coeff(0)}
+    # side = e(1 + stride*e) + stride*g*f, reduced mod n
+    one_se = [sigma * c for c in e]
+    one_se[0] = (one_se[0] + 1) % n
+    side = [
+        (a + sigma * b) % n
+        for a, b in zip_longest(mul_coeffs(e, one_se, n), mul_coeffs(g, f, n), fillvalue=0)
+    ]
+    if any(c % tpl.side for c in side):
+        raise InternalTheoremViolation(
+            f"e(1 + stride*e) + stride*g*f is not a multiple of the side {tpl.side} for {tpl.label}"
+        )
+    return {**witnesses, "k": _reduced(n, [c // tpl.side for c in side])}
 
 
 def classify(G: Mat2Poly, mod: Modulus) -> ClassificationReport:
@@ -343,31 +356,30 @@ def _strided_matrix(tpl, e, f, g):
     """
     label = tpl.label
     n, d, t, sigma, side = label.modulus, label.det, label.trace, tpl.stride, tpl.side
-    cs = [sigma * c for c in e] or [0]
-    cs[0] += tpl.offset
-    diag = Poly(n, cs)
-    cs = [-c for c in diag.coeffs] or [0]
-    cs[0] += t
-    h = Poly(n, cs)
+    # every entry a list of residues, made a Poly only when returned
+    diag = [sigma * c % n for c in e] or [0]
+    diag[0] = (diag[0] + tpl.offset) % n
+    h = [-c % n for c in diag]
+    h[0] = (h[0] + t) % n
     # diag * h - d, each coefficient congruent mod n (so mod the stride) to
     # the canonical one
-    residual = mul_coeffs(diag.coeffs, h.coeffs, n) or [0]
+    residual = mul_coeffs(diag, h, n)
     residual[0] -= d
     if f is None:
         g0 = _unit_constant_mod(g, side)
         if g0 is None:
             raise UnsatisfiableParams(f"g must reduce to a unit constant mod {side} to solve for f")
         inv = mod_inverse(sigma * g0, side)
-        sigma_f = Poly(n, [sigma * (inv * (c // sigma) % side) for c in residual])
+        sigma_f = [sigma * (inv * (c // sigma) % side) for c in residual]
     else:
-        sigma_f = Poly(n, [sigma * c for c in f])
-    sigma_g = Poly(n, [sigma * c for c in g])
-    fg = mul_coeffs(sigma_f.coeffs, sigma_g.coeffs, n)
+        sigma_f = [sigma * c % n for c in f]
+    sigma_g = [sigma * c % n for c in g]
+    fg = mul_coeffs(sigma_f, sigma_g, n)
     if any((r - c) % n for r, c in zip_longest(residual, fg, fillvalue=0)):
         if f is not None:
             raise UnsatisfiableParams("parameters violate the determinant side condition")
         raise InternalTheoremViolation(f"generated matrix is not idempotent for {label}")
-    return Mat2Poly(diag, sigma_f, sigma_g, h)
+    return Mat2Poly(_reduced(n, diag), _reduced(n, sigma_f), _reduced(n, sigma_g), _reduced(n, h))
 
 
 def generate(

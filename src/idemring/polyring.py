@@ -3,7 +3,10 @@
 Every polynomial product in the library goes through one kernel,
 ``mul_coeffs``: it multiplies two lists of residues and returns the exact
 integer coefficients, which its callers (``Poly.__mul__``, ``generate``'s
-matrix builder, the polynomial idempotent scan) reduce mod n.
+matrix builder, ``classify``'s witnesses, the polynomial idempotent scan)
+reduce mod n.  The canonical form is stated once: ``_strip`` drops
+trailing zeros for ``Poly.__init__`` and for ``_reduced``, which builds
+every arithmetic result from exact ints.
 """
 
 from __future__ import annotations
@@ -37,22 +40,34 @@ def mul_coeffs(a, b, n: int) -> list[int]:
     read back slot by slot (Kronecker substitution; Harvey, J. Symbolic
     Comput. 44, 2009).  A slot of size bytes holds every product
     coefficient, a sum of at most min(len(a), len(b)) terms below n**2,
-    so no slot carries into the next.
+    so no slot carries into the next.  A factor of length 1 is a scalar,
+    and the product one pass over the other factor.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
         return []
+    if la == 1 or lb == 1:
+        s, cs = (a[0], b) if la == 1 else (b[0], a)
+        return [s * c for c in cs]
     if la < KRONECKER_MIN_LENGTH or lb < KRONECKER_MIN_LENGTH:
         out = [0] * (la + lb - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+                for k, bj in enumerate(b, i):
+                    out[k] += ai * bj
         return out
     size = (2 * (n - 1).bit_length() + min(la, lb).bit_length() + 7) // 8
     x, y = (int.from_bytes(b"".join([c.to_bytes(size, "little") for c in cs]), "little") for cs in (a, b))
     raw = (x * y).to_bytes((la + lb - 1) * size, "little")
     return [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
+
+
+def _strip(cs: list) -> tuple:
+    """cs without its trailing zeros, as a tuple: the last step of every
+    Poly's canonical form."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
 class Poly:
@@ -69,11 +84,8 @@ class Poly:
     def __init__(self, n: int, coeffs=()):
         if n < 2:
             raise ValueError("modulus must be at least 2")
-        cs = [int(c) % n for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.n = n
-        self.coeffs = tuple(cs)
+        self.coeffs = _strip([int(c) % n for c in coeffs])
 
     @classmethod
     def _from_canonical(cls, n: int, coeffs) -> "Poly":
@@ -105,7 +117,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return Poly(self.n, (other,))
+            return _reduced(self.n, (other,))
         if isinstance(other, Poly):
             if other.n != self.n:
                 raise ModulusMismatch(f"moduli differ: {self.n} vs {other.n}")
@@ -122,12 +134,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(self.n, out)
+        return _reduced(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n, (-c for c in self.coeffs))
+        return _reduced(self.n, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -145,7 +157,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly(self.n, mul_coeffs(self.coeffs, o.coeffs, self.n))
+        return _reduced(self.n, mul_coeffs(self.coeffs, o.coeffs, self.n))
 
     __rmul__ = __mul__
 
@@ -179,6 +191,15 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}")
         return " + ".join(parts)
+
+
+def _reduced(n: int, ints) -> Poly:
+    """Poly of the exact ints reduced mod n: __init__ without its int()
+    conversion and modulus check, for the library's own results."""
+    p = object.__new__(Poly)
+    p.n = n
+    p.coeffs = _strip([c % n for c in ints])
+    return p
 
 
 _TERM = re.compile(r"(?:(\d+)(?:\*?x(?:\^(\d+))?)?|x(?:\^(\d+))?)\Z")
@@ -223,10 +244,3 @@ def parse_poly(n: int, text: str) -> Poly:
         if k <= degree:
             vec[k] = c
     return Poly(n, vec)
-
-
-def divide_coeffs(p: Poly, d: int) -> Poly:
-    """Exact coefficientwise division of the canonical coefficients by d."""
-    if any(c % d for c in p.coeffs):
-        raise ValueError(f"coefficients of {p!r} not all divisible by {d}")
-    return Poly(p.n, (c // d for c in p.coeffs))

@@ -2,7 +2,7 @@ import json
 import random
 import sys
 from collections import Counter
-from itertools import product
+from itertools import product, zip_longest
 from math import gcd, prod
 from pathlib import Path
 
@@ -16,6 +16,7 @@ from oracles import (
     elementary_idempotent,
     matrix_census_by_det_trace,
     matrix_is_idempotent,
+    poly_mul_unreduced,
     scan_matrix_idempotents,
 )
 
@@ -49,6 +50,7 @@ from idemring.errors import (
 )
 from idemring.mat2 import Mat2Poly
 from idemring.modarith import Modulus, factor_squarefree
+import idemring.polyring as polyring_module
 from idemring.polyring import Poly
 from idemring.quadcong import trace_candidates
 from idemring.znring import enumerate_idempotents, nontrivial_idempotents
@@ -315,6 +317,38 @@ def test_generated_matrices_pass_the_literal_square(n):
             (wit,) = classify(G, mod).witnesses
             if "f" in wit:
                 assert generate(mod, label, e=wit["e"], f=wit["f"], g=wit["g"]) == G, (label, degree)
+
+
+@pytest.mark.parametrize("n", [385, 455])
+def test_shift_and_mixed_witnesses_rebuild_the_entries(n):
+    # the witnesses of the strided families are the matrix's own entries:
+    # G.e = u + stride*e, G.f = stride*f and G.g = stride*g; and for the
+    # shift families side*k = e(1 + stride*e) + stride*g*f (mod n), by the
+    # literal product
+    mod = factor_squarefree(n)
+    rng = random.Random(n + 1)
+    for tpl in template_table(mod).values():
+        label, s, u = tpl.label, tpl.stride, tpl.offset
+        if label.family not in (DETPAIR_SHIFT, DETSINGLE_SHIFT, DETPAIR_MIXED):
+            continue
+        for degree in (0, 1, 5, 20):
+            G = generate(mod, label, seed=rng.getrandbits(32), max_degree=degree)
+            (wit,) = classify(G, mod).witnesses
+            e, f, g = (list(wit[key].coeffs) for key in "efg")
+            diag = [s * c for c in e] or [0]
+            assert G.e == Poly(n, [u + diag[0], *diag[1:]]), (label, degree)
+            assert G.f == Poly(n, [s * c for c in f]), (label, degree)
+            assert G.g == Poly(n, [s * c for c in g]), (label, degree)
+            if label.family == DETPAIR_MIXED:
+                assert "k" not in wit
+                continue
+            one_se = [s * c for c in e] or [0]
+            one_se[0] += 1
+            side = [
+                a + s * b
+                for a, b in zip_longest(poly_mul_unreduced(e, one_se), poly_mul_unreduced(g, f), fillvalue=0)
+            ]
+            assert Poly(n, [tpl.side * c for c in wit["k"].coeffs]) == Poly(n, side), (label, degree)
 
 
 def test_generate_catches_a_wrong_solution_for_f(monkeypatch):
@@ -634,18 +668,28 @@ def test_classify_allocates_nothing_beyond_det_and_trace(monkeypatch, mod385):
         DETPAIR_SCALAR: Mat2Poly.from_ints(385, 210, 0, 0, 210),
         DETSINGLE_SCALAR: Mat2Poly.from_ints(385, 155, 0, 0, 155),
     }
+    # a Poly is made by its constructor or, as the result of arithmetic or
+    # of classify's own list work, by polyring._reduced
     made = [0]
     init = Poly.__init__
+    reduced = polyring_module._reduced
 
     def counted(self, *args):
         made[0] += 1
         init(self, *args)
 
+    def counted_reduced(*args):
+        made[0] += 1
+        return reduced(*args)
+
     monkeypatch.setattr(Poly, "__init__", counted)
+    for module in (polyring_module, sys.modules["idemring.classify"]):
+        monkeypatch.setattr(module, "_reduced", counted_reduced)
     for family, G in cases.items():
         made[0] = 0
         G.idempotent_det_trace()
         floor = made[0]
+        assert floor > 0
         made[0] = 0
         rep = classify(G, mod385)
         assert [label.family for label in rep.matches] == [family]
@@ -717,6 +761,29 @@ def test_match_template_rejects_a_stride_that_does_not_divide_f(monkeypatch, mod
     module = sys.modules["idemring.classify"]
     monkeypatch.setattr(module, "template_table", lambda mod: {**table, (0, 1): forged})
     with pytest.raises(InternalTheoremViolation, match=off_form):
+        classify(G, mod385)
+
+
+def test_match_template_rejects_a_side_that_does_not_divide_its_quotient(monkeypatch, mod385):
+    # detpair-shift (stride 11, side 35) with e = x and g = 1: e(1 + 11e) +
+    # 11*g*f = 210x, so k = 6x.  The division is exact by whatever side the
+    # template holds (a forged 105 gives 2x); a forged 77 leaves a remainder
+    x = Poly(385, (0, 1))
+    table = template_table(mod385)
+    tpl = validate_label(mod385, make_label(mod385, DETPAIR_SHIFT))
+    assert (tpl.stride, tpl.side) == (11, 35)
+    G = generate(mod385, tpl.label, e=x)
+    assert _match_template(G, tpl)["k"] == 6 * x
+    assert _match_template(G, tpl._replace(side=105))["k"] == 2 * x
+    forged = tpl._replace(side=77)
+    remainder = r"^e\(1 \+ stride\*e\) \+ stride\*g\*f is not a multiple of the side 77 for detpair-shift "
+    with pytest.raises(InternalTheoremViolation, match=remainder):
+        _match_template(G, forged)
+    # the name classify here is the function, not its module
+    module = sys.modules["idemring.classify"]
+    key = tpl.label.det, tpl.label.trace
+    monkeypatch.setattr(module, "template_table", lambda mod: {**table, key: forged})
+    with pytest.raises(InternalTheoremViolation, match=remainder):
         classify(G, mod385)
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import poly_mul_unreduced
 
@@ -11,7 +11,6 @@ from idemring.polyring import (
     KRONECKER_MIN_LENGTH,
     MAX_GENERATE_DEGREE,
     Poly,
-    divide_coeffs,
     mul_coeffs,
     parse_poly,
 )
@@ -112,6 +111,36 @@ def test_degree_laws(a, b):
     assert (a * b).degree <= a.degree + b.degree
 
 
+def _exact(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+@given(poly_st, poly_st, st.integers(-2 * N, 2 * N) | st.booleans())
+def test_arithmetic_is_the_constructor_of_its_ints(a, b, k):
+    # each operator's result is the Poly the public constructor makes of
+    # the same unreduced ints: reduced, stripped, exact ints; and the
+    # constructor still turns bools (here and in k) into exact ints
+    x, y = list(a.coeffs), list(b.coeffs)
+    bits = Poly(N, [c % 2 == 1 for c in x])
+    assert bits.coeffs == Poly(N, [c % 2 for c in x]).coeffs and _exact(bits)
+    size = max(len(x), len(y))
+    xs, ys = x + [0] * (size - len(x)), y + [0] * (size - len(y))
+    x0 = x or [0]
+    results = [
+        (a + b, [p + q for p, q in zip(xs, ys)]),
+        (-a, [-c for c in x]),
+        (a - b, [p - q for p, q in zip(xs, ys)]),
+        (a * b, poly_mul_unreduced(x, y)),
+        (a + k, [x0[0] + k, *x0[1:]]),
+        (k * a, [k * c for c in x]),
+        (k - a, [k - x0[0], *(-c for c in x0[1:])]),
+    ]
+    for got, ints in results:
+        want = Poly(N, ints)
+        assert got.coeffs == want.coeffs and got.n == want.n
+        assert _exact(got) and _exact(want)
+
+
 @given(poly_st)
 def test_render_parse_round_trip(a):
     assert parse_poly(N, a.render()) == a
@@ -149,13 +178,6 @@ def test_parse_degree_limit_comes_before_the_dense_list():
         parse_poly(N, "x^1001 + 1")
 
 
-def test_divisibility_helpers():
-    a = P(0, 15, 30)
-    assert divide_coeffs(a, 15) == P(0, 1, 2)
-    with pytest.raises(ValueError):
-        divide_coeffs(P(1, 15), 15)
-
-
 # 2, the round trip's 385, a prime cofactor near 10**12 and n just below
 # the primality test's limit, about 3.3 * 10**24
 KERNEL_MODULI = (2, 385, 5 * 7 * 999999999989, MILLER_RABIN_LIMIT - 1)
@@ -164,30 +186,56 @@ KERNEL_MODULI = (2, 385, 5 * 7 * 999999999989, MILLER_RABIN_LIMIT - 1)
 @st.composite
 def _factor_pairs(draw):
     """(n, a, b): two residue lists of any lengths up to three thresholds,
-    all n - 1 (the largest product coefficients) in a share of the draws."""
+    all n - 1 (the largest product coefficients) in a share of the draws
+    and one factor a scalar (length 1) in another."""
     n = draw(st.sampled_from(KERNEL_MODULI))
-    worst = draw(st.booleans())
+    shape = draw(st.sampled_from(("any", "worst", "scalar")))
     lengths = st.integers(0, 3 * KRONECKER_MIN_LENGTH)
-    if worst:
+    if shape == "worst":
         return n, [n - 1] * draw(lengths), [n - 1] * draw(lengths)
     factor = st.lists(st.integers(0, n - 1), max_size=3 * KRONECKER_MIN_LENGTH)
+    if shape == "scalar":
+        scalar, other = [draw(st.integers(0, n - 1))], draw(factor)
+        return (n, scalar, other) if draw(st.booleans()) else (n, other, scalar)
     return n, draw(factor), draw(factor)
 
 
+_LONGEST = 2 * MAX_GENERATE_DEGREE + 1
+
+
 @given(_factor_pairs())
+@example((385, [0], [384] * _LONGEST))
+@example((385, [384] * _LONGEST, [384]))
+@example((2, [1], [1]))
 def test_mul_coeffs_is_the_naive_product(case):
     n, a, b = case
-    assert mul_coeffs(a, b, n) == poly_mul_unreduced(a, b)
+    product = mul_coeffs(a, b, n)
+    assert product == poly_mul_unreduced(a, b)
+    assert len(product) == (len(a) + len(b) - 1 if a and b else 0)
 
 
 @pytest.mark.parametrize("n", KERNEL_MODULI)
-@pytest.mark.parametrize("la, lb", [(11, 12), (12, 11), (12, 12), (12, 36), (36, 13), (36, 36)])
+@pytest.mark.parametrize(
+    "la, lb",
+    [(11, 12), (12, 11), (12, 12), (12, 36), (36, 13), (36, 36)]
+    # a scalar factor, either side, against lengths about the threshold
+    # and the longest entry generate makes
+    + [(1, 1)]
+    + [pair for k in (11, 12, 13, _LONGEST) for pair in ((1, k), (k, 1))],
+)
 def test_mul_coeffs_at_the_threshold(n, la, lb):
     # either side of the switch to the packed product, at the largest
     # coefficients and at the largest and zero ones interleaved; near
     # 3.3 * 10**24, 36 terms of (n - 1)**2 need the slot's length bits
-    for a, b in (([n - 1] * la, [n - 1] * lb), ([n - 1, 0] * la, [0, n - 1] * lb)):
-        assert mul_coeffs(a, b, n) == poly_mul_unreduced(a, b)
+    pairs = [([n - 1] * la, [n - 1] * lb), ([n - 1, 0] * la, [0, n - 1] * lb)]
+    if la == 1:
+        pairs.append(([0], [n - 1] * lb))
+    if lb == 1:
+        pairs.append(([n - 1] * la, [0]))
+    for a, b in pairs:
+        product = mul_coeffs(a, b, n)
+        assert product == poly_mul_unreduced(a, b)
+        assert len(product) == len(a) + len(b) - 1
 
 
 @pytest.mark.parametrize("n", [385, 10**24 + 7])

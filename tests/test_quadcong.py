@@ -4,7 +4,7 @@ from math import prod
 import pytest
 from oracles import MANY_PRIMES, crt_lifts, evaluate_closed_form, scan_prime_roots, scan_trace_solutions
 
-from idemring import znring
+from idemring import quadcong, znring
 from idemring.errors import (
     BudgetExceeded,
     InternalTheoremViolation,
@@ -83,6 +83,16 @@ def test_trace_candidates_enumeration_limit(monkeypatch):
     # an idempotency failure is still reported first
     with pytest.raises(NotIdempotentDet):
         trace_candidates(factor_squarefree(5 * 7 * 11 * 13 * 17), 2)
+
+
+def test_trace_candidates_checks_every_solution(monkeypatch, mod385):
+    # t = 2d + (1 - 4d)*y is a root for every idempotent y; a lift slipped
+    # in that is not idempotent, y = 2 at d = 210, gives t = 282, which is
+    # not: 282^2 - 282 - 420 = 282 (mod 385)
+    lifts = quadcong.idempotent_lifts
+    monkeypatch.setattr(quadcong, "idempotent_lifts", lambda mod: [*lifts(mod), 2])
+    with pytest.raises(InternalTheoremViolation, match=r"^282 fails t\^2 = t \+ 2\*210 \(mod 385\)$"):
+        trace_candidates(mod385, 210)
 
 
 def test_solver_equals_scan_small_moduli():
