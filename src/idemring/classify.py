@@ -147,6 +147,14 @@ def template_table(mod: Modulus) -> Mapping[tuple[int, int], Template]:
     once det G = d, for every strided G, and u*(t-u) = d mod s makes
     generate's det residual a multiple of s.  The middle two sum to
     t^2 - t = 2d.  A failure raises InternalTheoremViolation.
+
+    The last condition follows from the middle two, so it never fails
+    alone.  s = gcd(r, n) is the product of the 0 and I primes, and
+    t = 2d + r, so t = 2d mod s; then (t-1)^2 = t^2 - 2t + 1 = 1 + 2d - t
+    = 1 mod s, and (t-1) is its own inverse mod s.  Multiplying
+    (t-1)*u = d and (t-1)*(t-u) = d by it gives u = (t-1)*d and
+    t - u = (t-1)*d mod s, so u*(t-u) = (t-1)^2 * d^2 = d^2 = d mod s, d
+    being idempotent.  It is checked all the same.
     """
     require_classification_scope(mod)
     n = mod.n

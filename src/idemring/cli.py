@@ -14,9 +14,10 @@ so every help text and usage error is argparse's own (see ``parse_args``).
 Importing this module loads only errors, families, modarith, znring and
 quadcong: each verb's handler imports the classifier, the matrix and
 polynomial rings or the verify battery when it runs, so idempotents and
-solve-trace never load them.  ``_dumps`` takes the C string encoder that
-json.encoder uses straight from ``_json``, so ``--json`` output does not
-load json either.
+solve-trace never load them.  ``--json`` output is written by ``_dumps``
+through two mutually recursive writers, ``_object`` and ``_array``, with
+the C string encoder that json.encoder uses taken straight from ``_json``,
+so it does not load json either.
 """
 
 import os
@@ -66,10 +67,16 @@ def _dumps(doc) -> str:
     doc is a dict, list or tuple built from dicts with str keys, lists,
     tuples and scalars of exact type str, int, bool or None; anything else
     raises TypeError, except a str-subclass key in an object of a shape
-    already written (see _encode).
+    already written (see _object).  Instances of dict, list and tuple
+    subclasses (a namedtuple) are written as the containers they extend.
     """
     parts: list[str] = []
-    _encode(doc, 0, parts.append)
+    if isinstance(doc, dict):
+        _object(doc, 0, parts.append)
+    elif isinstance(doc, (list, tuple)):
+        _array(doc, 0, parts.append)
+    else:
+        raise TypeError(f"a document is a dict, list or tuple, not {type(doc).__name__}")
     return "".join(parts)
 
 
@@ -112,79 +119,103 @@ def _members(value: dict, depth: int) -> tuple[tuple[tuple[str, str], ...], str]
     return tuple(members), close
 
 
-def _encode(value, depth: int, put) -> None:
-    """Append the container value, nested depth deep, to put.
+def _object(value: dict, depth: int, put) -> None:
+    """Append the object value, nested depth deep, to put.
 
-    A container looks its separators up in _SEPARATORS instead of building
-    them, and an object its members in _MEMBERS: the first object of each
-    shape (its depth and its keys, in order) sorts the keys, tests that each
-    is exactly a str and encodes them, and every later one writes each
-    member's prefix and value.  A key that only equals a str of a shape
-    already written (an instance of a str subclass) finds that shape and is
-    written as the str it equals, as json.dumps writes it.  Scalars are
-    encoded in the loops, so only containers recurse.  Each scalar's exact
-    type is tested inline, ints (the most common) first; a bool, an IntEnum
-    member or a str subclass is neither an int nor a str here, so only
-    True, False and None are written as the rest.  Dicts and lists keep
-    separate loops: one loop over (key prefix, item) pairs for both took
-    about 1.5x as long on solve-trace documents.
+    The object looks its separators up in _SEPARATORS and its members in
+    _MEMBERS: the first object of each shape (its depth and its keys, in
+    order) sorts the keys, tests that each is exactly a str and encodes
+    them, and every later one writes each member's prefix and value.  A key
+    that only equals a str of a shape already written (an instance of a str
+    subclass) finds that shape and is written as the str it equals, as
+    json.dumps writes it.  Each value's exact type is tested inline, ints
+    (the most common) first; a bool, an IntEnum member or a str subclass is
+    neither an int nor a str here, so only True, False and None are written
+    as the rest.  A child container goes straight to _object or _array:
+    by its exact type, tested after int and str, or, for an instance of a
+    dict, list or tuple subclass (a namedtuple), by isinstance, tested last.
     """
-    if isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        shape = (depth, *value)
-        entry = _MEMBERS.get(shape)
-        if entry is None:
-            entry = _members(value, depth)
-            if len(_MEMBERS) < _MAX_SHAPES and len(value) <= _MAX_KEYS:
-                _MEMBERS[shape] = entry
-        members, close = entry
-        for key, prefix in members:
-            item = value[key]
-            kind = type(item)
-            if kind is int:
-                put(f"{prefix}{item}")
-            elif kind is str:
-                put(prefix + encode_basestring_ascii(item))
-            elif item is True:
-                put(prefix + "true")
-            elif item is False:
-                put(prefix + "false")
-            elif item is None:
-                put(prefix + "null")
-            elif isinstance(item, (dict, list, tuple)):
-                put(prefix)
-                _encode(item, depth + 1, put)
-            else:
-                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        put(close)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        _, sep, comma, _, close = _SEPARATORS[depth] if depth < 8 else _separators(depth)
-        for item in value:
-            kind = type(item)
-            if kind is int:
-                put(f"{sep}{item}")
-            elif kind is str:
-                put(sep + encode_basestring_ascii(item))
-            elif item is True:
-                put(sep + "true")
-            elif item is False:
-                put(sep + "false")
-            elif item is None:
-                put(sep + "null")
-            elif isinstance(item, (dict, list, tuple)):
-                put(sep)
-                _encode(item, depth + 1, put)
-            else:
-                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-            sep = comma
-        put(close)
-    else:
-        raise TypeError(f"a document is a dict, list or tuple, not {type(value).__name__}")
+    if not value:
+        put("{}")
+        return
+    shape = (depth, *value)
+    entry = _MEMBERS.get(shape)
+    if entry is None:
+        entry = _members(value, depth)
+        if len(_MEMBERS) < _MAX_SHAPES and len(value) <= _MAX_KEYS:
+            _MEMBERS[shape] = entry
+    members, close = entry
+    depth += 1
+    for key, prefix in members:
+        item = value[key]
+        kind = type(item)
+        if kind is int:
+            put(f"{prefix}{item}")
+        elif kind is str:
+            put(prefix + encode_basestring_ascii(item))
+        elif kind is dict:
+            put(prefix)
+            _object(item, depth, put)
+        elif kind is list or kind is tuple:
+            put(prefix)
+            _array(item, depth, put)
+        elif item is True:
+            put(prefix + "true")
+        elif item is False:
+            put(prefix + "false")
+        elif item is None:
+            put(prefix + "null")
+        elif isinstance(item, dict):
+            put(prefix)
+            _object(item, depth, put)
+        elif isinstance(item, (list, tuple)):
+            put(prefix)
+            _array(item, depth, put)
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    put(close)
+
+
+def _array(value, depth: int, put) -> None:
+    """Append the list or tuple value, nested depth deep, to put.
+
+    Its items are tested and written as _object writes an object's values.
+    Objects and arrays keep separate loops: one loop over (key prefix, item)
+    pairs for both took about 1.5x as long on solve-trace documents.
+    """
+    if not value:
+        put("[]")
+        return
+    _, sep, comma, _, close = _SEPARATORS[depth] if depth < 8 else _separators(depth)
+    depth += 1
+    for item in value:
+        kind = type(item)
+        if kind is int:
+            put(f"{sep}{item}")
+        elif kind is str:
+            put(sep + encode_basestring_ascii(item))
+        elif kind is dict:
+            put(sep)
+            _object(item, depth, put)
+        elif kind is list or kind is tuple:
+            put(sep)
+            _array(item, depth, put)
+        elif item is True:
+            put(sep + "true")
+        elif item is False:
+            put(sep + "false")
+        elif item is None:
+            put(sep + "null")
+        elif isinstance(item, dict):
+            put(sep)
+            _object(item, depth, put)
+        elif isinstance(item, (list, tuple)):
+            put(sep)
+            _array(item, depth, put)
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        sep = comma
+    put(close)
 
 
 def report_files(mod: Modulus, completeness) -> dict[str, str]:

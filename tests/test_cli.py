@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
+from collections import Counter, OrderedDict, namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from math import prod
@@ -896,7 +896,42 @@ def test_dumps_rejects_subclasses_of_int_and_str(scalar, wrap):
         _dumps(wrap(scalar))
 
 
-@pytest.mark.parametrize("doc", [{"a": 1.5}, [[{1, 2}]], {1: "x"}, {"a": {2: 3}}, 1.5, "top-level"])
+class _Items(list):
+    pass
+
+
+_Pair = namedtuple("_Pair", "first second")
+
+
+@pytest.mark.parametrize(
+    "child",
+    [_Pair(1, [True, None]), _Items(["x", {"k": 2}]), OrderedDict(b=[3], a={"c": _Items()})],
+    ids=["namedtuple", "list-subclass", "dict-subclass"],
+)
+@pytest.mark.parametrize(
+    "wrap", [lambda x: x, lambda x: {"k": x, "j": 0}, lambda x: [0, x]], ids=["document", "object-value", "array-item"]
+)
+def test_dumps_writes_container_subclasses_as_json_dumps(child, wrap):
+    # a container that is not exactly a dict, list or tuple is still written
+    # as one, wherever it sits
+    doc = wrap(child)
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": 1.5},
+        [[{1, 2}]],
+        {1: "x"},
+        {"a": {2: 3}},
+        [{"a": 1.5}],
+        {"a": [1.5]},
+        ({"a": {1, 2}},),
+        1.5,
+        "top-level",
+    ],
+)
 def test_dumps_rejects_other_types(doc):
     with pytest.raises(TypeError):
         _dumps(doc)
