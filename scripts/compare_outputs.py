@@ -89,9 +89,19 @@ PARTS = ("stdout", "stderr", "exit")
 
 # Moduli past the sweep, as their primes: trace-largeprime's 5*7*p, p in
 # [2*10**4, 6*10**4); two primes above the factorizer's table of the
-# primes below 1000; and a prime cofactor near 10**12, which keeps trial
-# division going to 10**6
-LARGE_MODULI = ((5, 7, 20011), (5, 7, 40009), (5, 7, 59999), (5, 1009, 1013), (5, 7, 999999999989))
+# primes below 1000; a prime cofactor near 10**12, which keeps trial
+# division going to 10**6; primes either side of that trial bound 10**6;
+# and the table's last prime beside the wheel's first two
+LARGE_MODULI = (
+    (5, 7, 20011),
+    (5, 7, 40009),
+    (5, 7, 59999),
+    (5, 1009, 1013),
+    (5, 7, 999999999989),
+    (5, 7, 999983),
+    (5, 7, 1000003),
+    (997, 1009, 1013),
+)
 
 # Moduli of m = 6 to 16 primes, the first m from 2 and the first m from 5:
 # the 2**m idempotents and trace solutions up to MAX_ENUMERATED_PRIMES

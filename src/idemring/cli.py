@@ -299,15 +299,13 @@ def _cmd_solve_trace(args) -> int:
             "solutions": solutions,
             "closed_forms": report.to_dict() if report else None,
         }
-        print(_dumps(doc))
+        sys.stdout.write(_dumps(doc) + "\n")
         return 0
-    print(_header(mod))
-    print(f"congruence: t^2 = t + 2*{d} (mod {mod.n})")
-    print(f"solutions ({len(solutions)}): " + " ".join(str(t) for t in solutions))
-    if report is not None:
-        print(report.to_text())
-    else:
-        print("closed-form catalogue applies only to the six nontrivial determinants")
+    tail = report.to_text() if report else "closed-form catalogue applies only to the six nontrivial determinants"
+    sys.stdout.write(
+        f"{_header(mod)}\ncongruence: t^2 = t + 2*{d} (mod {mod.n})\n"
+        f"solutions ({len(solutions)}): {' '.join(map(str, solutions))}\n{tail}\n"
+    )
     return 0
 
 

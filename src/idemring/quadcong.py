@@ -1,8 +1,9 @@
 """Trace congruences t^2 = t + 2d (mod n) and their closed-form solution lists."""
 
 from collections import namedtuple
+from itertools import repeat
 
-from .errors import InternalTheoremViolation, WrongPrimeCount
+from .errors import InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount
 from .modarith import Modulus
 from .znring import euler_closed_form, idempotent_lifts, nontrivial_idempotents, pattern_of, power_form
 
@@ -10,24 +11,24 @@ from .znring import euler_closed_form, idempotent_lifts, nontrivial_idempotents,
 def trace_candidates(mod: Modulus, d: int) -> tuple[int, ...]:
     """All t in [0, n) with t^2 = t + 2d (mod n) for an idempotent d, ascending.
 
-    An idempotent d is 0 or 1 mod each prime p (pattern_of raises
-    NotIdempotentDet for any other d), so t^2 - t - 2d factors mod p as
-    t(t - 1) where d = 0 and as (t - 2)(t + 1) where d = 1.  Over an
-    idempotent y, which is 0 or 1 mod p, t = 2d + (1 - 4d)*y is y mod p
-    where d = 0 and 2 - 3y mod p where d = 1: one root of each factor
-    per choice of y mod p.  So the solutions are exactly those t over the
-    2**m idempotents y, by CRT.  Mod 3 the roots 2, -1 coincide (a double
-    root), and the set absorbs the repeat.  More than MAX_ENUMERATED_PRIMES
-    primes raise BudgetExceeded before any y is made, and every solution
-    is checked.
+    d*d = d (mod n) says d is 0 or 1 mod each prime p (any other d raises
+    NotIdempotentDet), so t^2 - t - 2d factors mod p as t(t - 1) where
+    d = 0 and as (t - 2)(t + 1) where d = 1.  Over an idempotent y, which
+    is 0 or 1 mod p, t = 2d + (1 - 4d)*y is y mod p where d = 0 and
+    2 - 3y mod p where d = 1: one root of each factor per choice of y
+    mod p.  So the solutions are exactly those t over the 2**m idempotents
+    y, by CRT.  Mod 3 the roots 2, -1 coincide (a double root), and the
+    set absorbs the repeat.  More than MAX_ENUMERATED_PRIMES primes raise
+    BudgetExceeded before any y is made, and every solution is checked.
     """
     n = mod.n
     d %= n
-    pattern_of(mod, d)  # NotIdempotentDet, before the enumeration limit
-    step = 1 - 4 * d
-    sols = tuple(sorted({(2 * d + step * y) % n for y in idempotent_lifts(mod)}))
+    if (d * d - d) % n:  # before the enumeration limit
+        raise NotIdempotentDet(f"{d} is not idempotent mod {n}")
+    two_d, step = 2 * d, 1 - 4 * d
+    sols = tuple(sorted({(two_d + step * y) % n for y in idempotent_lifts(mod)}))
     for t in sols:
-        if (t * t - t - 2 * d) % n:
+        if (t * t - t - two_d) % n:
             raise InternalTheoremViolation(f"{t} fails t^2 = t + 2*{d} (mod {n})")
     return sols
 
@@ -60,15 +61,15 @@ class FormulaReport(
             "solver_solutions": self.solver_solutions,
             "entries": [
                 {
-                    "formula": e.formula,
-                    "value": e.value,
-                    "residues": e.residues,
-                    "residue_is_root": e.residue_is_root,
-                    "in_solution_set": e.in_solution_set,
+                    "formula": formula,
+                    "value": value,
+                    "residues": residues,
+                    "residue_is_root": is_root,
+                    "in_solution_set": in_set,
                 }
-                for e in self.entries
+                for formula, value, residues, is_root, in_set in self.entries
             ],
-            "discrepancy_count": len(self.discrepancies),
+            "discrepancy_count": sum(1 for e in self.entries if not e.in_solution_set),
         }
 
     def to_text(self) -> str:
@@ -103,18 +104,21 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
         raise WrongPrimeCount(f"need exactly 3 prime factors, got {mod.m}")
     n = mod.n
     pat = pattern_of(mod, d)
-    if sum(pat) not in (1, 2):
+    count = sum(pat)
+    if count not in (1, 2):
         raise ValueError("no closed-form catalogue for the trivial idempotents 0 and 1")
     # d is the CRT combination of pat, and so is the value euler_closed_form checks
     d, dt = euler_closed_form(mod, pat)
-    ones, zeros = [], []
-    for p, bit in zip(mod.primes, pat):
-        (ones if bit else zeros).append(p)
-    exprs = [(f"2*{dt}", 2 * d), (f"{dt} + 1", d + 1), (f"-{dt}", -d), (f"1 - 2*{dt}", 1 - 2 * d)]
-    if len(ones) == 2:
+    two_d = 2 * d
+    exprs = [(f"2*{dt}", two_d), (f"{dt} + 1", d + 1), (f"-{dt}", -d), (f"1 - 2*{dt}", 1 - two_d)]
+    # the prime whose bit is alone in pat: the 0 of a prime pivot, the 1 of
+    # a pair pivot; a and b are the other two, ascending
+    primes = mod.primes
+    i = pat.index(2 - count)
+    a, b = primes[:i] + primes[i + 1 :]
+    if count == 2:
         pivot = "prime"
-        z = zeros[0]
-        a, b = ones
+        z = primes[i]
         for u, v in ((a, b), (b, a)):
             s, st = power_form((z,), u - 1, n)
             q, qt = power_form((z, u), v - 1, n)
@@ -124,25 +128,23 @@ def closed_form_trace_solutions(mod: Modulus, d: int) -> FormulaReport:
         pivot = "pair"
         # the pair catalogue lists -d before d + 1
         exprs[1], exprs[2] = exprs[2], exprs[1]
-        a, b = zeros
         for u, v in ((a, b), (b, a)):
             w, wt = power_form((u,), v - 1, n)
             exprs.append((f"(2 - {wt})*{dt} + {wt}", (2 - w) * d + w))
             exprs.append((f"(-1 - {wt})*{dt} + {wt}", (-1 - w) * d + w))
-    congruence = f"t^2 = t + 2*{dt} (mod {n})"
     solutions = trace_candidates(mod, d)
     sol_set = set(solutions)
     # three primes, so each entry's residues and root flags are spelled out:
     # v mod p is a root exactly when p divides v^2 - v - 2d
-    p1, p2, p3 = mod.primes
-    entries = []
+    p1, p2, p3 = primes
+    rows = []
     for text, raw in exprs:
         v = raw % n
-        w = v * v - v - 2 * d
-        residues = (v % p1, v % p2, v % p3)
-        flags = (w % p1 == 0, w % p2 == 0, w % p3 == 0)
-        entries.append(FormulaEntry(text, v, residues, flags, v in sol_set))
-    return FormulaReport(n, mod.primes, d, pivot, congruence, solutions, entries)
+        w = v * v - v - two_d
+        rows.append((text, v, (v % p1, v % p2, v % p3), (w % p1 == 0, w % p2 == 0, w % p3 == 0), v in sol_set))
+    # tuple.__new__ is all FormulaEntry's constructor runs; map calls it without a Python frame
+    entries = list(map(tuple.__new__, repeat(FormulaEntry), rows))
+    return FormulaReport(n, primes, d, pivot, f"t^2 = t + 2*{dt} (mod {n})", solutions, entries)
 
 
 def formula_discrepancy_survey(mod: Modulus) -> list[FormulaReport]:

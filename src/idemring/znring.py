@@ -7,7 +7,7 @@ from operator import mul
 
 from .errors import BudgetExceeded, InternalTheoremViolation, NotIdempotentDet, WrongPrimeCount, charge
 from .families import DEFAULT_BUDGET
-from .modarith import Modulus, crt_basis, mod_pow
+from .modarith import Modulus, crt_basis
 
 # Most prime factors m whose 2**m idempotents or trace solutions are
 # enumerated.  The slowest calls it admit, at m = 16 (the primes 5 to 61),
@@ -88,9 +88,9 @@ def power_form(primes, exp: int, n: int) -> tuple[int, str]:
     """
     if len(primes) == 1:
         (p,) = primes
-        return mod_pow(p, exp, n), f"{p}^{exp}"
+        return pow(p, exp, n), f"{p}^{exp}"
     a, b = primes
-    return mod_pow(a * b, exp, n), f"({a}*{b})^{exp}"
+    return pow(a * b, exp, n), f"({a}*{b})^{exp}"
 
 
 def euler_closed_form(mod: Modulus, pattern) -> tuple[int, str]:

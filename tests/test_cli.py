@@ -82,8 +82,13 @@ def test_idempotents_json(capsys):
 )
 def test_a_wrong_closed_form_raises_out_of_the_cli(monkeypatch, argv):
     # a power function off by one makes every closed form miss its CRT value
-    power = znring.mod_pow
-    monkeypatch.setattr(znring, "mod_pow", lambda a, k, n: (power(a, k, n) + 1) % n)
+    power = znring.power_form
+
+    def off_by_one(primes, exp, n):
+        value, text = power(primes, exp, n)
+        return (value + 1) % n, text
+
+    monkeypatch.setattr(znring, "power_form", off_by_one)
     with pytest.raises(InternalTheoremViolation):
         main(argv)
 
@@ -632,6 +637,52 @@ def test_verify_at_fourteen_primes_answers_in_time(capsys):
     assert time.perf_counter() - start < 1.5
     assert rc == 0 and err == ""
     assert "ok   idempotent-closure: y^2 = y holds and 1-y stays inside" in out.splitlines()
+
+
+_TABLE_PRIMES = [p for p in range(1000) if is_prime(p)]
+# the factorizer's seams: a table prime times a wheel prime, two wheel
+# primes, either side of the wheel's 10**6 trial bound, repeated primes and
+# every prime of the table
+_SEAM_MODULI = [
+    997 * 1009,
+    1009 * 1013,
+    35 * 999983,
+    35 * 1000003,
+    5 * 997**2,
+    36,
+    prod(_TABLE_PRIMES),
+    prod(_TABLE_PRIMES) * 1009,
+]
+
+
+# hypothesis draws mostly small integers from a wide range, so a second
+# strategy draws the number of digits first, then n
+_MODULI = (
+    st.integers(-10, 10**40)
+    | st.integers(1, 40).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k))
+    | st.sampled_from(_SEAM_MODULI)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MODULI, st.integers())
+def test_every_modulus_answers_or_fails_with_a_code_in_time(n, d):
+    for argv in (["solve-trace", str(n), str(d)], ["solve-trace", str(n), str(d), "--json"], ["idempotents", str(n), "--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage error, for a negative number
+                rc = exc.code
+        assert time.perf_counter() - start < 1.0, argv
+        assert rc in (0, 1, 2), argv
+        if rc == 0:
+            assert err.getvalue() == "" and out.getvalue().endswith("\n"), argv
+        elif rc == 1:
+            [line] = err.getvalue().splitlines()
+            code, _, message = line.removeprefix("error: ").partition(": ")
+            assert line.startswith("error: ") and code.isidentifier() and message, argv
 
 
 def _parse_outcome(parse, argv):

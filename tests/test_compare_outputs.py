@@ -88,8 +88,11 @@ def test_a_changed_line_of_text_output_is_reported(repo_outputs, tmp_path, capsy
         assert where.startswith("  stdout line ") and where.endswith(":")
         assert (parent, change) == ("    parent: discrepancies: 0", "    change: discrepancy count: 0")
     # the large moduli past --max-n run too: trace-largeprime's 5*7*p, two
-    # primes above 1000, and a prime cofactor near 10**12
-    for n in (35 * 20011, 35 * 40009, 35 * 59999, 5 * 1009 * 1013, 35 * 999999999989):
+    # primes above 1000, a prime cofactor near 10**12, primes either side of
+    # 10**6 and the table's last prime beside two wheel primes
+    large = [35 * 20011, 35 * 40009, 35 * 59999, 5 * 1009 * 1013, 35 * 999999999989]
+    large += [35 * 999983, 35 * 1000003, 997 * 1009 * 1013]
+    for n in large:
         assert sum(line.startswith(f"differs (stdout): solve-trace {n} ") for line in differ) == 6, n
     for line in differ:
         assert line.startswith("differs (stdout): solve-trace ") and not line.endswith("--json")

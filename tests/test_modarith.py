@@ -16,7 +16,6 @@ from idemring.modarith import (
     factor_squarefree,
     is_prime,
     mod_inverse,
-    mod_pow,
 )
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -148,22 +147,29 @@ def test_factor_does_not_recertify_primes(monkeypatch):
         Modulus(21, (1, 21))
 
 
-def test_mod_pow_examples():
-    assert mod_pow(35, 2, 105) == 70
-    assert mod_pow(3, 24, 105) == 36
-    assert mod_pow(123456, 0, 7) == 1
+# the seams of the small-prime screen: the table ends at 997, the wheel
+# starts at 1001 and certifies by trial up to 10**6
+@pytest.mark.parametrize(
+    "primes",
+    [
+        (997, 1009),  # a table prime times a wheel prime
+        (1009, 1013),  # no table factor, composite above 1009**2: the wheel finds 1009
+        (5, 7, 999983),  # the largest prime below 10**6
+        (5, 7, 1000003),  # the least prime above 10**6
+        modarith._SMALL_PRIMES,  # every table prime
+        (*modarith._SMALL_PRIMES, 1009),
+    ],
+    ids=["997*1009", "1009*1013", "35*999983", "35*1000003", "table", "table*1009"],
+)
+def test_factor_at_the_screen_seams(primes):
+    assert factor_squarefree(prod(primes)) == (prod(primes), primes)
 
 
-@settings(max_examples=200)
-@given(st.integers(-10**6, 10**6), st.integers(0, 400), st.integers(0, 400), st.integers(2, 10**6))
-def test_mod_pow_additive_exponents(a, k1, k2, n):
-    assert mod_pow(a, k1 + k2, n) == mod_pow(a, k1, n) * mod_pow(a, k2, n) % n
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**6))
-def test_fermat_little(p, a):
-    if a % p != 0:
-        assert mod_pow(a, p - 1, p) == 1
+@pytest.mark.parametrize("n, p", [(5 * 997**2, 997), (36, 2), (997**2 * 1009**2, 997), (5 * 1009**2, 1009)])
+def test_factor_names_the_least_repeated_prime(n, p):
+    with pytest.raises(NotSquarefree) as exc:
+        factor_squarefree(n)
+    assert str(exc.value) == f"{p}^2 divides {n}"
 
 
 def test_mod_inverse_examples():

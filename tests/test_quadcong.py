@@ -217,8 +217,13 @@ def test_closed_form_rejects_trivial_det(mod385):
 def test_closed_form_check_lives_in_znring(monkeypatch, mod385):
     # d's closed form is stated and checked once, by euler_closed_form: a
     # power function off by one there must stop every catalogue
-    power = znring.mod_pow
-    monkeypatch.setattr(znring, "mod_pow", lambda a, k, n: (power(a, k, n) + 1) % n)
+    power = znring.power_form
+
+    def off_by_one(primes, exp, n):
+        value, text = power(primes, exp, n)
+        return (value + 1) % n, text
+
+    monkeypatch.setattr(znring, "power_form", off_by_one)
     for d in znring.nontrivial_idempotents(mod385):
         with pytest.raises(InternalTheoremViolation):
             closed_form_trace_solutions(mod385, d)
